@@ -107,7 +107,7 @@ def load_checkpoint(path, kind=None, config_hash=None):
             seed=payload["seed"],
             config_hash=stored_hash,
         )
-    except (KeyError, TypeError, ValueError) as err:
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
         raise CheckpointCorruptError(f"malformed checkpoint {path}: {err}") from err
 
 

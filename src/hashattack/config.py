@@ -7,6 +7,7 @@ refuse to load under a different one.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -164,6 +165,10 @@ class ExperimentConfig:
         )
 
     def validate(self):
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if spec.type is float and not math.isfinite(value):
+                raise ConfigError(f"{spec.name} must be finite, got {value!r}")
         self.data_config().validate()
         self.hash_config().validate()
         self.transfer_hash_config().validate()

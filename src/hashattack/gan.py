@@ -415,12 +415,15 @@ def train_attack_gan(images, labels, label_set, hash_model, code_matrix, config,
 
             # three alternating updates, each on a fresh forward pass
             batch_values = None
-            for optimizer, flip in ((opt_prototype, False),
-                                    (opt_generator, False),
-                                    (opt_discriminator, True)):
+            for net, optimizer, flip in ((stack.prototype, opt_prototype, False),
+                                         (stack.generator, opt_generator, False),
+                                         (stack.discriminator, opt_discriminator, True)):
+                # only the stepped network goes on the tape, so backward
+                # skips the idle networks' weight gradients; the detach
+                # frees the idle ones from the previous step's tape
                 tape = T.Tape()
-                watch_parameters(tape, stack.prototype, stack.generator,
-                                 stack.discriminator)
+                stack.detach()
+                watch_parameters(tape, net)
                 losses = _BatchLosses(stack, hash_model, code_matrix, images[batch],
                                       labels[batch], targets, labels, config)
                 pair, gen, dis = losses.values()
@@ -441,13 +444,6 @@ def train_attack_gan(images, labels, label_set, hash_model, code_matrix, config,
         history.append((epoch, float(means[0]), float(means[1]), float(means[2])))
     stack.detach()
     return stack, history
-
-
-def generate_adversarial(generator, images, representations):
-    """One untraced generator pass; returns (perturbed batch, elapsed seconds)."""
-    start = time.perf_counter()
-    perturbed = generator.forward_values(images, representations)
-    return perturbed, time.perf_counter() - start
 
 
 def targeted_examples(stack, images, target_labels):

@@ -28,16 +28,36 @@ class Adam:
         self.count = 0
         self._m = [np.zeros_like(p.values) for p in self.params]
         self._v = [np.zeros_like(p.values) for p in self.params]
+        # two scratch blocks sized to the largest parameter, viewed per
+        # parameter, so a step allocates no full-size temporaries
+        largest = max((p.values.size for p in self.params), default=0)
+        blocks = np.empty(largest), np.empty(largest)
+        self._scratch = [tuple(b[:p.values.size].reshape(p.values.shape) for b in blocks)
+                         for p in self.params]
 
     def step(self, grads):
-        """Apply one update from a ``Gradients`` view onto every parameter."""
+        """Apply one update from a ``Gradients`` view onto every parameter.
+
+        Moments and parameters are updated in place, in the elementwise
+        order of ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)`` with
+        ``m = b1 * m + (1 - b1) * g`` and ``v = b2 * v + (1 - b2) * (g * g)``.
+        """
         self.count += 1
         correct1 = 1.0 - self.beta1 ** self.count
         correct2 = 1.0 - self.beta2 ** self.count
-        for i, p in enumerate(self.params):
+        for p, m, v, (a, b) in zip(self.params, self._m, self._v, self._scratch):
             g = grads.wrt(p)
-            self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
-            self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * (g * g)
-            m_hat = self._m[i] / correct1
-            v_hat = self._v[i] / correct2
-            p.values -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            m *= self.beta1
+            np.multiply(g, 1.0 - self.beta1, out=a)
+            m += a
+            np.multiply(g, g, out=a)
+            a *= 1.0 - self.beta2
+            v *= self.beta2
+            v += a
+            np.divide(m, correct1, out=a)
+            np.divide(v, correct2, out=b)
+            np.sqrt(b, out=b)
+            b += self.epsilon
+            a *= self.learning_rate
+            a /= b
+            p.values -= a

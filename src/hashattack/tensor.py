@@ -88,7 +88,8 @@ class Gradients:
         """Gradient of the root with respect to ``tensor``.
 
         Tensors on the tape that the root does not depend on get a zero
-        gradient of matching shape.
+        gradient of matching shape.  The returned array may be shared
+        with other entries of the pass, so treat it as read-only.
         """
         if tensor.tape is not self._tape:
             raise ContractError("tensor is not attached to the tape this backward pass ran on")
@@ -113,10 +114,11 @@ def backward(tape, root):
         node = tape.nodes[i]
         for parent, pull in zip(node.parents, node.pulls):
             contribution = pull(grad)
+            # no in-place add: a pull may hand the same array to several parents
             if table[parent] is None:
-                table[parent] = np.array(contribution, dtype=np.float64)
+                table[parent] = contribution
             else:
-                table[parent] += contribution
+                table[parent] = table[parent] + contribution
     return Gradients(tape, table)
 
 
@@ -239,9 +241,9 @@ def transpose(t):
 
 def relu(t):
     t = _as_tensor(t)
-    out = Tensor(np.maximum(t.values, 0.0))
-    mask = (t.values > 0.0).astype(np.float64)
-    return _record(out, (t,), (lambda g: g * mask,))
+    tv = t.values
+    out = Tensor(np.maximum(tv, 0.0))
+    return _record(out, (t,), (lambda g: g * (tv > 0.0),))
 
 
 def detach(*tensors):
@@ -266,15 +268,10 @@ def tanh_values(v):
 def sigmoid_values(v):
     """Numerically stable sigmoid on a plain array, clamped like the traced op."""
     v = np.asarray(v, dtype=np.float64)
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    expv = np.exp(v[~pos])
-    out[~pos] = expv / (1.0 + expv)
+    # exp(-|v|) never overflows: 1/(1+e^-v) for v >= 0, e^v/(1+e^v) below
+    e = np.exp(-np.abs(v))
+    out = np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return np.clip(out, _ZERO_ABOVE, _ONE_BELOW)
-
-
-_sigmoid_values = sigmoid_values
 
 
 def sigmoid(t):
@@ -287,9 +284,9 @@ def sigmoid(t):
 def softplus(t):
     """log(1 + exp(x)), computed without overflow for large x."""
     t = _as_tensor(t)
-    out = Tensor(np.logaddexp(0.0, t.values))
-    grad_values = sigmoid_values(t.values)
-    return _record(out, (t,), (lambda g: g * grad_values,))
+    tv = t.values
+    out = Tensor(np.logaddexp(0.0, tv))
+    return _record(out, (t,), (lambda g: g * sigmoid_values(tv),))
 
 
 def total(t):

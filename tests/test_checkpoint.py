@@ -123,6 +123,18 @@ def test_shape_payload_mismatch_is_corrupt(tmp_path, rng):
         load_checkpoint(target)
 
 
+def test_tensors_list_with_valid_checksum_is_corrupt(tmp_path, rng):
+    target = tmp_path / "model.json"
+    save_checkpoint(target, Checkpoint(kind="x", tensors={"w": rng.random(4)}))
+
+    def listify(payload):
+        payload["tensors"] = list(payload["tensors"].values())
+
+    _rewrite(target, listify)
+    with pytest.raises(CheckpointCorruptError):
+        load_checkpoint(target)
+
+
 def test_hash_model_round_trip(tmp_path, rng):
     model = HashModel.create(np.random.default_rng(3), 10, 6, hidden_widths=(12,))
     target = tmp_path / "hash.json"

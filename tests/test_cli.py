@@ -49,6 +49,16 @@ def test_config_problems_exit_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["hash_learning_rate = nan", "epsilon = nan",
+                                  "noise_sigma = inf"])
+def test_non_finite_config_floats_exit_one(tmp_path, capsys, line):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(line + "\n")
+    assert _run(["gen-data"], tmp_path, config=str(bad)) == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_stage_failure_exits_two(tmp_path, capsys):
     config = _config_file(tmp_path)
     assert _run(["train-hash"], tmp_path, config=config) == 2

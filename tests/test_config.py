@@ -106,6 +106,14 @@ def test_validate_delegates_to_stage_configs():
         ExperimentConfig(anchor_set_size=0).validate()
 
 
+@pytest.mark.parametrize("line", ["hash_learning_rate = nan", "epsilon = nan",
+                                  "noise_sigma = inf"])
+def test_validate_rejects_non_finite_floats(line):
+    config = ExperimentConfig.from_text(line + "\n")
+    with pytest.raises(ConfigError):
+        config.validate()
+
+
 def test_float_formatting_survives_round_trip():
     config = ExperimentConfig(epsilon=8.0 / 255.0, noise_sigma=1e-4)
     back = ExperimentConfig.from_text(config.to_text())

@@ -24,7 +24,7 @@ from hashattack.gan import (
     train_attack_gan,
 )
 from hashattack.hashing import HashModel, encode_database
-from hashattack.layers import MLP, DenseLayer
+from hashattack.layers import MLP, DenseLayer, watch_parameters
 from hashattack.prototype import PrototypeNet
 
 from conftest import assert_grad_close, finite_difference
@@ -242,6 +242,34 @@ def test_minimax_objective_gradients_match_finite_differences():
     numeric = finite_difference(objective_value, base)
     for got, want in zip(analytic, numeric):
         assert_grad_close(got, want)
+
+
+def test_watching_only_the_stepped_network_keeps_its_gradient_exact():
+    config, hash_model, images, labels, label_set, code_matrix = _mini_setup(seed=4)
+    stack = _build_mini_stack(1, config, hash_model, 2, 2)
+    targets = label_set[np.array([0, 1, 0])]
+    nets = (stack.prototype, stack.generator, stack.discriminator)
+
+    def gradients(watched, stepped, flip):
+        stack.detach()
+        tape = T.Tape()
+        watch_parameters(tape, *watched)
+        losses = _BatchLosses(stack, hash_model, code_matrix, images[:3], labels[:3],
+                              targets, labels, config)
+        minimax = T.sub(T.add(losses.loss_pair, losses.loss_generator),
+                        losses.loss_discriminator)
+        if flip:
+            minimax = T.scale(minimax, -1.0)
+        grads = T.backward(tape, T.scale(minimax, 1.0 / 3.0))
+        return [grads.wrt(p) for p in stepped.parameters()]
+
+    for net, flip in zip(nets, (False, False, True)):
+        alone = gradients((net,), net, flip)
+        joint = gradients(nets, net, flip)
+        assert any(np.any(g != 0.0) for g in alone)
+        for a, b in zip(alone, joint):
+            assert np.array_equal(a, b)
+    stack.detach()
 
 
 def test_pick_targets_excludes_own_label():

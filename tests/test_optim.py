@@ -60,6 +60,39 @@ def test_matches_reference_implementation(rng):
         assert np.allclose(p.values, ref, rtol=0.0, atol=1e-14)
 
 
+def test_matches_reference_formula_exactly_in_place(rng):
+    shapes = [(3, 2), (5,)]
+    starts = [rng.normal(size=s) for s in shapes]
+    params = [T.Tensor(s.copy()) for s in starts]
+    lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
+    opt = Adam(params, learning_rate=lr, beta1=b1, beta2=b2, epsilon=eps)
+    moments = [id(a) for a in opt._m + opt._v]
+
+    refs = [s.copy() for s in starts]
+    ms = [np.zeros(s) for s in shapes]
+    vs = [np.zeros(s) for s in shapes]
+    for step in range(1, 11):
+        consts = [T.Tensor(rng.normal(size=s)) for s in shapes]
+        tape = T.Tape()
+        for p in params:
+            tape.watch(p)
+        loss = T.add(T.total(T.mul(params[0], consts[0])),
+                     T.total(T.mul(params[1], consts[1])))
+        opt.step(T.backward(tape, loss))
+        assert [id(a) for a in opt._m + opt._v] == moments
+
+        for i, c in enumerate(consts):
+            g = c.values
+            ms[i] = b1 * ms[i] + (1.0 - b1) * g
+            vs[i] = b2 * vs[i] + (1.0 - b2) * (g * g)
+            m_hat = ms[i] / (1.0 - b1 ** step)
+            v_hat = vs[i] / (1.0 - b2 ** step)
+            refs[i] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            assert np.array_equal(params[i].values, refs[i])
+            assert np.array_equal(opt._m[i], ms[i])
+            assert np.array_equal(opt._v[i], vs[i])
+
+
 def test_minimizes_quadratic():
     p = T.Tensor([0.0])
     target = T.Tensor([5.0])

@@ -132,6 +132,44 @@ def test_repeated_operand_accumulates():
     assert np.array_equal(grads.wrt(x), [2.0])
 
 
+def test_shared_fan_out_gradient_is_not_mutated_by_accumulation():
+    # the outer add hands one array to both operands, and so does the
+    # inner add; x then gets a second contribution from the scale
+    tape = T.Tape()
+    x = tape.watch(T.Tensor([1.0, 2.0]))
+    y = tape.watch(T.Tensor([3.0, 4.0]))
+    c = T.Tensor([5.0, 7.0])
+    tripled = T.scale(x, 3.0)
+    joined = T.add(x, y)
+    loss = T.total(T.add(T.mul(joined, c), tripled))
+    grads = T.backward(tape, loss)
+    assert np.array_equal(grads.wrt(x), [8.0, 10.0])
+    assert np.array_equal(grads.wrt(y), [5.0, 7.0])
+    assert np.array_equal(grads.wrt(tripled), [1.0, 1.0])
+    assert np.array_equal(grads.wrt(joined), [5.0, 7.0])
+
+
+def _masked_sigmoid(v):
+    # the boolean-mask formulation sigmoid_values must reproduce bit for bit
+    v = np.asarray(v, dtype=np.float64)
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    expv = np.exp(v[~pos])
+    out[~pos] = expv / (1.0 + expv)
+    return np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+
+
+def test_sigmoid_values_bit_identical_to_masked_formula(rng):
+    edges = np.array([0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 800.0, -800.0])
+    for block in (edges, rng.normal(size=(16, 256)) * 8.0,
+                  rng.normal(size=(16, 1000)) * 40.0):
+        want = _masked_sigmoid(block)
+        got = T.sigmoid_values(block)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_nodes_after_root_are_ignored():
     tape = T.Tape()
     x = tape.watch(T.Tensor([2.0]))
