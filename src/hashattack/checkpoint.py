@@ -20,10 +20,9 @@ from .errors import (
     CheckpointMissingError,
     CheckpointVersionError,
 )
-from .gan import AttackStack, Discriminator, Generator
+from .gan import AttackStack
 from .hashing import HashModel
 from .layers import MLP
-from .prototype import PrototypeNet
 
 FORMAT_VERSION = 1
 
@@ -111,86 +110,50 @@ def load_checkpoint(path, kind=None, config_hash=None):
         raise CheckpointCorruptError(f"malformed checkpoint {path}: {err}") from err
 
 
-def _scaffold_rng():
-    # initial weights are fully overwritten by import, any seed works
-    return np.random.default_rng(0)
+def _save_module(path, kind, module, architecture, seed, config_hash, meta):
+    stored = dict(architecture)
+    if meta:
+        stored.update(meta)
+    save_checkpoint(path, Checkpoint(
+        kind=kind,
+        tensors=module.state_dict(),
+        meta=stored,
+        seed=seed,
+        config_hash=config_hash,
+    ))
+
+
+def _load_module(path, kind, config_hash, build):
+    """Build a module from the stored architecture, then import its tensors.
+
+    ``build(rng, meta)`` makes the scaffold; the import overwrites all of
+    its initial weights, so any seed works.
+    """
+    checkpoint = load_checkpoint(path, kind=kind, config_hash=config_hash)
+    try:
+        module = build(np.random.default_rng(0), checkpoint.meta)
+        module.load_state_dict(checkpoint.tensors)
+    except (IndexError, KeyError, TypeError, ValueError) as err:
+        raise CheckpointCorruptError(f"malformed checkpoint {path}: {err}") from err
+    return module, checkpoint
+
+
+def _build_hash_model(rng, meta):
+    return HashModel(MLP.create(rng, **meta["architecture"]))
 
 
 def save_hash_model(path, model, seed=None, config_hash=None, meta=None):
-    stored = {"architecture": model.net.architecture()}
-    if meta:
-        stored.update(meta)
-    save_checkpoint(path, Checkpoint(
-        kind="hash_model",
-        tensors=model.net.export_tensors(),
-        meta=stored,
-        seed=seed,
-        config_hash=config_hash,
-    ))
+    _save_module(path, "hash_model", model, {"architecture": model.net.architecture()},
+                 seed, config_hash, meta)
 
 
 def load_hash_model(path, config_hash=None):
-    checkpoint = load_checkpoint(path, kind="hash_model", config_hash=config_hash)
-    try:
-        arch = checkpoint.meta["architecture"]
-        net = MLP.create(_scaffold_rng(), arch["widths"], arch["activations"])
-        net.import_tensors(checkpoint.tensors)
-        return HashModel(net), checkpoint
-    except (KeyError, TypeError, ValueError) as err:
-        raise CheckpointCorruptError(f"malformed checkpoint {path}: {err}") from err
+    return _load_module(path, "hash_model", config_hash, _build_hash_model)
 
 
 def save_attack_stack(path, stack, seed=None, config_hash=None, meta=None):
-    tensors = stack.prototype.export_tensors(prefix="prototype.")
-    tensors.update(stack.generator.export_tensors(prefix="generator."))
-    tensors.update(stack.discriminator.export_tensors(prefix="discriminator."))
-    stored = {
-        "prototype": stack.prototype.architecture(),
-        "generator": stack.generator.architecture(),
-        "discriminator": stack.discriminator.architecture(),
-    }
-    if meta:
-        stored.update(meta)
-    save_checkpoint(path, Checkpoint(
-        kind="attack_stack",
-        tensors=tensors,
-        meta=stored,
-        seed=seed,
-        config_hash=config_hash,
-    ))
+    _save_module(path, "attack_stack", stack, stack.architecture(), seed, config_hash, meta)
 
 
 def load_attack_stack(path, config_hash=None):
-    checkpoint = load_checkpoint(path, kind="attack_stack", config_hash=config_hash)
-    try:
-        proto_arch = checkpoint.meta["prototype"]
-        gen_arch = checkpoint.meta["generator"]
-        dis_arch = checkpoint.meta["discriminator"]
-        trunk_widths = proto_arch["trunk_widths"]
-        prototype = PrototypeNet.create(
-            _scaffold_rng(),
-            classes=proto_arch["classes"],
-            code_length=proto_arch["code_length"],
-            hidden_widths=tuple(trunk_widths[1:-1]),
-            representation_width=trunk_widths[-1],
-        )
-        generator = Generator.create(
-            _scaffold_rng(),
-            representation_width=gen_arch["representation_width"],
-            pixels=gen_arch["pixels"],
-            decoder_hidden=gen_arch["decoder_hidden"],
-            bottleneck=gen_arch["bottleneck"],
-        )
-        dis_widths = dis_arch["widths"]
-        discriminator = Discriminator.create(
-            _scaffold_rng(),
-            pixels=dis_widths[0],
-            classes=dis_arch["classes"],
-            hidden=tuple(dis_widths[1:-1]),
-        )
-        prototype.import_tensors(checkpoint.tensors, prefix="prototype.")
-        generator.import_tensors(checkpoint.tensors, prefix="generator.")
-        discriminator.import_tensors(checkpoint.tensors, prefix="discriminator.")
-        return AttackStack(prototype, generator, discriminator), checkpoint
-    except (KeyError, TypeError, ValueError) as err:
-        raise CheckpointCorruptError(f"malformed checkpoint {path}: {err}") from err
+    return _load_module(path, "attack_stack", config_hash, AttackStack.from_architecture)

@@ -79,11 +79,6 @@ def t_map(adv_codes, target_labels, code_matrix, db_labels):
     return float(np.mean([average_precision(r) for r in rows]))
 
 
-def retrieval_map(query_codes, query_labels, code_matrix, db_labels):
-    """Mean AP with relevance judged against each query's true label."""
-    return t_map(query_codes, query_labels, code_matrix, db_labels)
-
-
 def pr_curve(query_codes, query_labels, code_matrix, db_labels):
     """Precision and recall at every rank cutoff, averaged over queries.
 
@@ -180,7 +175,7 @@ def evaluate_queries(query_codes, relevance_labels, code_matrix, db_labels,
         queries_without_relevant=skipped,
     )
     if true_labels is not None:
-        report.map = retrieval_map(query_codes, true_labels, code_matrix, db_labels)
+        report.map = t_map(query_codes, true_labels, code_matrix, db_labels)
     if originals is not None and perturbed is not None:
         report.perceptibility = mean_perceptibility(originals, perturbed)
     if times is not None:

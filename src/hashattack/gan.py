@@ -26,7 +26,7 @@ from .errors import (
     TrainingDivergedError,
 )
 from .hashing import binarize
-from .layers import MLP, DenseLayer, watch_parameters
+from .layers import MLP, DenseLayer, Module, watch_parameters
 from .optim import Adam
 from .prototype import PrototypeNet, loss_prototype
 
@@ -64,8 +64,10 @@ class GanConfig:
         for name in ("alpha1", "alpha2", "alpha3", "reconstruction_weight", "adversarial_weight"):
             if getattr(self, name) < 0.0:
                 raise InputError(f"{name} must be non-negative, got {getattr(self, name)}")
-        if self.representation_width < 1 or self.decoder_hidden < 1 or self.generator_bottleneck < 1:
-            raise InputError("network widths must be positive")
+        widths = (self.representation_width, self.decoder_hidden, self.generator_bottleneck,
+                  *self.prototype_hidden, *self.discriminator_hidden)
+        if any(width < 1 for width in widths):
+            raise InputError(f"network widths must be positive, got {widths}")
 
 
 def augment_label(label, role):
@@ -82,7 +84,7 @@ def augment_label(label, role):
     raise DimensionError(f"labels must be 1-D or 2-D, got {label.shape}")
 
 
-class Generator:
+class Generator(Module):
     """Conditioned image-to-image network with a pixel skip connection."""
 
     def __init__(self, label_decoder, core, output_head):
@@ -132,48 +134,9 @@ class Generator:
         head_in = T.concat([core_out, images], axis=1)
         return self.output_head.forward(head_in)
 
-    def forward_values(self, images, representations):
-        """Untraced perturbed batch on plain arrays."""
-        images = np.asarray(images, dtype=np.float64)
-        representations = np.asarray(representations, dtype=np.float64)
-        if images.ndim != 2 or images.shape[0] != representations.shape[0]:
-            raise DimensionError(
-                f"batch sizes disagree: {images.shape} vs {representations.shape}"
-            )
-        conditioning = self.label_decoder.forward_values(representations)
-        core_out = self.core.forward_values(np.concatenate([images, conditioning], axis=1))
-        head_in = np.concatenate([core_out, images], axis=1)
-        return T.sigmoid_values(
-            head_in @ self.output_head.weight.values + self.output_head.bias.values
-        )
-
-    def parameters(self):
-        return (self.label_decoder.parameters() + self.core.parameters()
-                + [self.output_head.weight, self.output_head.bias])
-
-    def detach(self):
-        T.detach(*self.parameters())
-
-    def export_tensors(self, prefix=""):
-        out = self.label_decoder.export_tensors(prefix=f"{prefix}decoder.")
-        out.update(self.core.export_tensors(prefix=f"{prefix}core."))
-        out[f"{prefix}head.weight"] = self.output_head.weight.values.copy()
-        out[f"{prefix}head.bias"] = self.output_head.bias.values.copy()
-        return out
-
-    def import_tensors(self, mapping, prefix=""):
-        self.label_decoder.import_tensors(mapping, prefix=f"{prefix}decoder.")
-        self.core.import_tensors(mapping, prefix=f"{prefix}core.")
-        for name, param in ((f"{prefix}head.weight", self.output_head.weight),
-                            (f"{prefix}head.bias", self.output_head.bias)):
-            if name not in mapping:
-                raise DimensionError(f"missing tensor {name}")
-            incoming = np.asarray(mapping[name], dtype=np.float64)
-            if incoming.shape != param.values.shape:
-                raise DimensionError(
-                    f"tensor {name} has shape {incoming.shape}, expected {param.values.shape}"
-                )
-            param.values = incoming.copy()
+    def parts(self):
+        return [("decoder.", self.label_decoder), ("core.", self.core),
+                ("head.", self.output_head)]
 
     def architecture(self):
         return {
@@ -184,7 +147,7 @@ class Generator:
         }
 
 
-class Discriminator:
+class Discriminator(Module):
     """Maps an image to per-class scores plus a realness score, all sigmoid."""
 
     def __init__(self, net, classes):
@@ -203,23 +166,17 @@ class Discriminator:
         activations = ["relu"] * len(hidden) + ["sigmoid"]
         return cls(MLP.create(rng, widths, activations), classes)
 
+    @classmethod
+    def from_architecture(cls, rng, arch):
+        """Inverse of ``architecture``, with weights drawn from ``rng``."""
+        widths = arch["widths"]
+        return cls.create(rng, widths[0], arch["classes"], hidden=widths[1:-1])
+
     def forward(self, images):
         return self.net.forward(images)
 
-    def forward_values(self, images):
-        return self.net.forward_values(images)
-
-    def parameters(self):
-        return self.net.parameters()
-
-    def detach(self):
-        self.net.detach()
-
-    def export_tensors(self, prefix=""):
-        return self.net.export_tensors(prefix=prefix)
-
-    def import_tensors(self, mapping, prefix=""):
-        self.net.import_tensors(mapping, prefix=prefix)
+    def parts(self):
+        return [("", self.net)]
 
     def architecture(self):
         net = self.net.architecture()
@@ -288,17 +245,30 @@ def loss_discriminator(real_scores, true_labels, fake_scores, target_labels,
 
 
 @dataclass
-class AttackStack:
+class AttackStack(Module):
     """The three trained attack networks."""
 
     prototype: PrototypeNet
     generator: Generator
     discriminator: Discriminator
 
-    def detach(self):
-        self.prototype.detach()
-        self.generator.detach()
-        self.discriminator.detach()
+    @classmethod
+    def from_architecture(cls, rng, arch):
+        """Inverse of ``architecture``, with weights drawn from ``rng``."""
+        return cls(PrototypeNet.from_architecture(rng, arch["prototype"]),
+                   Generator.create(rng, **arch["generator"]),
+                   Discriminator.from_architecture(rng, arch["discriminator"]))
+
+    def parts(self):
+        return [("prototype.", self.prototype), ("generator.", self.generator),
+                ("discriminator.", self.discriminator)]
+
+    def architecture(self):
+        return {
+            "prototype": self.prototype.architecture(),
+            "generator": self.generator.architecture(),
+            "discriminator": self.discriminator.architecture(),
+        }
 
 
 @dataclass
@@ -458,8 +428,8 @@ def targeted_examples(stack, images, target_labels):
     examples = []
     for image, target in zip(images, target_labels):
         start = time.perf_counter()
-        rep, _, _ = stack.prototype.forward_values(target.reshape(1, -1))
-        perturbed = stack.generator.forward_values(image.reshape(1, -1), rep)
+        rep = stack.prototype.forward(target.reshape(1, -1)).representation
+        perturbed = stack.generator.forward(image.reshape(1, -1), rep).values
         elapsed = time.perf_counter() - start
         examples.append(AdversarialExample(
             original=image.copy(),

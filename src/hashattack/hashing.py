@@ -13,7 +13,7 @@ import numpy as np
 from . import tensor as T
 from .data import build_similarity_matrix
 from .errors import DimensionError, InputError, TrainingDivergedError
-from .layers import MLP, watch_parameters
+from .layers import MLP, Module, watch_parameters
 from .optim import Adam
 
 
@@ -55,6 +55,8 @@ class HashTrainConfig:
     def validate(self):
         if self.code_length <= 0:
             raise InputError(f"code length must be positive, got {self.code_length}")
+        if any(width < 1 for width in self.hidden_widths):
+            raise InputError(f"hidden widths must be positive, got {self.hidden_widths}")
         if self.epochs < 1:
             raise InputError(f"epochs must be at least 1, got {self.epochs}")
         if self.batch_size < 2:
@@ -69,7 +71,7 @@ class HashTrainConfig:
             )
 
 
-class HashModel:
+class HashModel(Module):
     """Continuous hash network f plus sign binarization F = sign(f)."""
 
     def __init__(self, net):
@@ -87,13 +89,12 @@ class HashModel:
     def code_length(self):
         return self.net.output_width
 
-    @property
-    def input_width(self):
-        return self.net.input_width
-
     def forward(self, x):
         """Traced continuous codes (batch, K); use inside training/attack tapes."""
         return self.net.forward(x)
+
+    def parts(self):
+        return [("", self.net)]
 
     def continuous_codes(self, images):
         """Untraced continuous codes (batch, K)."""
@@ -145,7 +146,7 @@ def train_target_model(images, labels, config, rng):
 
     rng = np.random.default_rng(rng)
     model = HashModel.create(rng, images.shape[1], config.code_length, config.hidden_widths)
-    optimizer = Adam(model.net.parameters(), learning_rate=config.learning_rate)
+    optimizer = Adam(model.parameters(), learning_rate=config.learning_rate)
     history = []
     count = images.shape[0]
     for epoch in range(config.epochs):
@@ -156,7 +157,7 @@ def train_target_model(images, labels, config, rng):
             if batch.shape[0] < 2:
                 continue
             tape = T.Tape()
-            watch_parameters(tape, model.net)
+            watch_parameters(tape, model)
             continuous = model.forward(T.Tensor(images[batch]))
             similarity = build_similarity_matrix(labels[batch], labels[batch])
             loss = pairwise_code_loss(continuous, similarity, config.quantization_weight)
@@ -166,7 +167,7 @@ def train_target_model(images, labels, config, rng):
             epoch_losses.append(value)
             optimizer.step(T.backward(tape, loss))
         history.append(float(np.mean(epoch_losses)))
-    model.net.detach()
+    model.detach()
     return model, history
 
 

@@ -12,16 +12,54 @@ _ACTIVATIONS = {
     "sigmoid": T.sigmoid,
 }
 
-# Untraced twins, numerically identical to the tape ops (same clamps).
-_ACTIVATION_VALUES = {
-    "linear": lambda v: v,
-    "relu": lambda v: np.maximum(v, 0.0),
-    "tanh": T.tanh_values,
-    "sigmoid": T.sigmoid_values,
-}
+
+class Module:
+    """A network seen as named parameter tensors.
+
+    A composite lists its sub-networks in ``parts``; a leaf overrides
+    ``named_parameters``.  The names are the checkpoint tensor names, so
+    persistence needs nothing else from a network.
+    """
+
+    def parts(self):
+        """(name prefix, sub-network) pairs, in parameter order."""
+        return ()
+
+    def named_parameters(self):
+        """(name, tensor) pairs; each name is the part prefixes plus the leaf's own name."""
+        for prefix, part in self.parts():
+            for name, param in part.named_parameters():
+                yield prefix + name, param
+
+    def parameters(self):
+        return [param for _, param in self.named_parameters()]
+
+    def detach(self):
+        """Clear any tape attachment left on the parameters by training."""
+        T.detach(*self.parameters())
+
+    def state_dict(self):
+        """Named copies of every parameter array, for persistence."""
+        return {name: param.values.copy() for name, param in self.named_parameters()}
+
+    def load_state_dict(self, mapping):
+        """Overwrite every parameter from ``mapping``; names and shapes must match."""
+        params = dict(self.named_parameters())
+        if mapping.keys() != params.keys():
+            raise DimensionError(
+                f"missing tensors {sorted(params.keys() - mapping.keys())}, "
+                f"unknown tensors {sorted(mapping.keys() - params.keys())}"
+            )
+        for name, param in params.items():
+            incoming = np.asarray(mapping[name], dtype=np.float64)
+            if incoming.shape != param.values.shape:
+                raise DimensionError(
+                    f"tensor {name} has shape {incoming.shape}, expected {param.values.shape}"
+                )
+            param.values = incoming.copy()
 
 
-class DenseLayer:
+class DenseLayer(Module):
     """One affine map plus a fixed elementwise activation."""
 
     def __init__(self, weight, bias, activation):
@@ -54,12 +92,16 @@ class DenseLayer:
             weight = rng.uniform(-limit, limit, size=(fan_in, fan_out))
         return cls(weight, np.zeros(fan_out), activation)
 
+    def named_parameters(self):
+        yield "weight", self.weight
+        yield "bias", self.bias
+
     def forward(self, x):
         pre = T.bias_add(T.matmul(x, self.weight), self.bias)
         return _ACTIVATIONS[self.activation](pre)
 
 
-class MLP:
+class MLP(Module):
     """A stack of dense layers applied in order to row-major batches."""
 
     def __init__(self, layers):
@@ -107,46 +149,11 @@ class MLP:
         return x
 
     def forward_values(self, x):
-        """Untraced forward pass on a plain array; matches ``forward`` bit for bit."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.input_width:
-            raise DimensionError(f"expected input (batch, {self.input_width}), got {x.shape}")
-        for layer in self.layers:
-            x = _ACTIVATION_VALUES[layer.activation](x @ layer.weight.values + layer.bias.values)
-        return x
+        """``forward(x).values``, the untraced entry point ``bench/tracer.py`` times apart."""
+        return self.forward(x).values
 
-    def parameters(self):
-        out = []
-        for layer in self.layers:
-            out.append(layer.weight)
-            out.append(layer.bias)
-        return out
-
-    def detach(self):
-        """Clear any tape attachment left on the parameters by training."""
-        T.detach(*self.parameters())
-
-    def export_tensors(self, prefix=""):
-        """Named copies of every parameter array, for persistence."""
-        out = {}
-        for i, layer in enumerate(self.layers):
-            out[f"{prefix}layer{i}.weight"] = layer.weight.values.copy()
-            out[f"{prefix}layer{i}.bias"] = layer.bias.values.copy()
-        return out
-
-    def import_tensors(self, mapping, prefix=""):
-        """Overwrite parameters from ``export_tensors`` output; shapes must match."""
-        for i, layer in enumerate(self.layers):
-            for name, param in ((f"{prefix}layer{i}.weight", layer.weight),
-                                (f"{prefix}layer{i}.bias", layer.bias)):
-                if name not in mapping:
-                    raise DimensionError(f"missing tensor {name}")
-                incoming = np.asarray(mapping[name], dtype=np.float64)
-                if incoming.shape != param.values.shape:
-                    raise DimensionError(
-                        f"tensor {name} has shape {incoming.shape}, expected {param.values.shape}"
-                    )
-                param.values = incoming.copy()
+    def parts(self):
+        return [(f"layer{i}.", layer) for i, layer in enumerate(self.layers)]
 
     def architecture(self):
         """Widths and activations, for checkpoint compatibility checks."""

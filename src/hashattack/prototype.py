@@ -14,7 +14,7 @@ import numpy as np
 from . import tensor as T
 from .errors import DimensionError, InputError
 from .hashing import binarize
-from .layers import MLP, DenseLayer
+from .layers import MLP, DenseLayer, Module
 
 
 @dataclass
@@ -24,7 +24,7 @@ class PrototypeOutput:
     predicted_label: T.Tensor
 
 
-class PrototypeNet:
+class PrototypeNet(Module):
     """Trunk plus code/label heads; operates on (batch, classes) rows."""
 
     def __init__(self, trunk, code_head, label_head):
@@ -51,6 +51,13 @@ class PrototypeNet:
         label_head = DenseLayer.create(rng, representation_width, classes, "sigmoid")
         return cls(trunk, code_head, label_head)
 
+    @classmethod
+    def from_architecture(cls, rng, arch):
+        """Inverse of ``architecture``, with weights drawn from ``rng``."""
+        widths = arch["trunk_widths"]
+        return cls.create(rng, arch["classes"], arch["code_length"],
+                          hidden_widths=widths[1:-1], representation_width=widths[-1])
+
     @property
     def classes(self):
         return self.trunk.input_width
@@ -59,18 +66,15 @@ class PrototypeNet:
     def code_length(self):
         return self.code_head.weight.shape[1]
 
-    def _check_labels(self, labels):
-        if labels.ndim != 2 or labels.shape[1] != self.classes:
-            raise DimensionError(
-                f"expected labels (batch, {self.classes}), got {labels.shape}"
-            )
-        if np.any(labels.sum(axis=1) == 0):
-            raise InputError("a target label with no class is meaningless")
-
     def forward(self, labels):
         """Traced outputs for a (batch, classes) 0/1 label matrix."""
         labels = T._as_tensor(labels)
-        self._check_labels(labels.values)
+        if labels.values.ndim != 2 or labels.values.shape[1] != self.classes:
+            raise DimensionError(
+                f"expected labels (batch, {self.classes}), got {labels.values.shape}"
+            )
+        if np.any(labels.values.sum(axis=1) == 0):
+            raise InputError("a target label with no class is meaningless")
         rep = self.trunk.forward(labels)
         return PrototypeOutput(
             representation=rep,
@@ -78,51 +82,14 @@ class PrototypeNet:
             predicted_label=self.label_head.forward(rep),
         )
 
-    def forward_values(self, labels):
-        """Untraced (representation, continuous code, predicted label) arrays."""
-        labels = np.asarray(labels, dtype=np.float64)
-        self._check_labels(labels)
-        rep = self.trunk.forward_values(labels)
-        code = T.tanh_values(rep @ self.code_head.weight.values + self.code_head.bias.values)
-        pred = T.sigmoid_values(rep @ self.label_head.weight.values + self.label_head.bias.values)
-        return rep, code, pred
-
     def prototype_code(self, label):
         """Binary prototype code for one label vector."""
         label = np.asarray(label, dtype=np.float64).reshape(1, -1)
-        _, code, _ = self.forward_values(label)
-        return binarize(code[0])
+        return binarize(self.forward(label).continuous_code.values[0])
 
-    def parameters(self):
-        return (self.trunk.parameters()
-                + [self.code_head.weight, self.code_head.bias,
-                   self.label_head.weight, self.label_head.bias])
-
-    def detach(self):
-        T.detach(*self.parameters())
-
-    def export_tensors(self, prefix=""):
-        out = self.trunk.export_tensors(prefix=f"{prefix}trunk.")
-        out[f"{prefix}code_head.weight"] = self.code_head.weight.values.copy()
-        out[f"{prefix}code_head.bias"] = self.code_head.bias.values.copy()
-        out[f"{prefix}label_head.weight"] = self.label_head.weight.values.copy()
-        out[f"{prefix}label_head.bias"] = self.label_head.bias.values.copy()
-        return out
-
-    def import_tensors(self, mapping, prefix=""):
-        self.trunk.import_tensors(mapping, prefix=f"{prefix}trunk.")
-        for name, param in ((f"{prefix}code_head.weight", self.code_head.weight),
-                            (f"{prefix}code_head.bias", self.code_head.bias),
-                            (f"{prefix}label_head.weight", self.label_head.weight),
-                            (f"{prefix}label_head.bias", self.label_head.bias)):
-            if name not in mapping:
-                raise DimensionError(f"missing tensor {name}")
-            incoming = np.asarray(mapping[name], dtype=np.float64)
-            if incoming.shape != param.values.shape:
-                raise DimensionError(
-                    f"tensor {name} has shape {incoming.shape}, expected {param.values.shape}"
-                )
-            param.values = incoming.copy()
+    def parts(self):
+        return [("trunk.", self.trunk), ("code_head.", self.code_head),
+                ("label_head.", self.label_head)]
 
     def architecture(self):
         trunk = self.trunk.architecture()

@@ -255,14 +255,9 @@ def detach(*tensors):
 
 def tanh(t):
     t = _as_tensor(t)
-    out_values = tanh_values(t.values)
+    out_values = np.clip(np.tanh(t.values), -_ONE_BELOW, _ONE_BELOW)
     out = Tensor(out_values)
     return _record(out, (t,), (lambda g: g * (1.0 - out_values * out_values),))
-
-
-def tanh_values(v):
-    """tanh on a plain array, clamped like the traced op."""
-    return np.clip(np.tanh(v), -_ONE_BELOW, _ONE_BELOW)
 
 
 def sigmoid_values(v):

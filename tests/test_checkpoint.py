@@ -1,9 +1,13 @@
 """Checkpoint round-trip, integrity, and model-rebuild tests."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hashattack.checkpoint import (
     FORMAT_VERSION,
@@ -18,6 +22,7 @@ from hashattack.checkpoint import (
 )
 from hashattack.errors import (
     CheckpointCorruptError,
+    CheckpointError,
     CheckpointMismatchError,
     CheckpointMissingError,
     CheckpointVersionError,
@@ -179,18 +184,18 @@ def test_attack_stack_round_trip(tmp_path, rng):
     loaded, checkpoint = load_attack_stack(target, config_hash="cfg")
     assert checkpoint.seed == 9
     labels = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
-    want_rep, want_code, want_pred = stack.prototype.forward_values(labels)
-    got_rep, got_code, got_pred = loaded.prototype.forward_values(labels)
-    assert np.array_equal(got_rep, want_rep)
-    assert np.array_equal(got_code, want_code)
-    assert np.array_equal(got_pred, want_pred)
+    want = stack.prototype.forward(labels)
+    got = loaded.prototype.forward(labels)
+    assert np.array_equal(got.representation.values, want.representation.values)
+    assert np.array_equal(got.continuous_code.values, want.continuous_code.values)
+    assert np.array_equal(got.predicted_label.values, want.predicted_label.values)
     images = rng.random((2, 12))
     assert np.array_equal(
-        loaded.generator.forward_values(images, want_rep),
-        stack.generator.forward_values(images, want_rep),
+        loaded.generator.forward(images, want.representation).values,
+        stack.generator.forward(images, want.representation).values,
     )
-    assert np.array_equal(loaded.discriminator.forward_values(images),
-                          stack.discriminator.forward_values(images))
+    assert np.array_equal(loaded.discriminator.forward(images).values,
+                          stack.discriminator.forward(images).values)
 
 
 def test_cross_kind_loads_are_rejected(tmp_path, rng):
@@ -202,3 +207,142 @@ def test_cross_kind_loads_are_rejected(tmp_path, rng):
     save_hash_model(model_path, HashModel.create(np.random.default_rng(0), 4, 3))
     with pytest.raises(CheckpointMismatchError):
         load_attack_stack(model_path)
+
+
+def test_hash_model_with_an_unknown_tensor_is_corrupt(tmp_path):
+    target = tmp_path / "hash.json"
+    save_hash_model(target, HashModel.create(np.random.default_rng(3), 10, 6,
+                                             hidden_widths=(12,)))
+
+    def add_tensor(payload):
+        payload["tensors"]["layer9.weight"] = payload["tensors"]["layer0.weight"]
+
+    _rewrite(target, add_tensor)
+    with pytest.raises(CheckpointCorruptError):
+        load_hash_model(target)
+
+
+@pytest.mark.parametrize("network, field", [("prototype", "trunk_widths"),
+                                            ("discriminator", "widths")])
+def test_attack_stack_with_empty_widths_is_corrupt(tmp_path, network, field):
+    target = tmp_path / "stack.json"
+    save_attack_stack(target, _demo_stack())
+
+    def empty(payload):
+        payload["meta"][network][field] = []
+
+    _rewrite(target, empty)
+    with pytest.raises(CheckpointCorruptError):
+        load_attack_stack(target)
+
+
+def _stored(path):
+    payload = json.loads(path.read_text())
+    shapes = {name: entry["shape"] for name, entry in payload["tensors"].items()}
+    return shapes, payload["meta"]
+
+
+def test_persisted_format_is_pinned(tmp_path):
+    """Tensor names, shapes and meta of both kinds; a reload saves the same bytes."""
+    model = HashModel.create(np.random.default_rng(3), 10, 6, hidden_widths=(12,))
+    first, again = tmp_path / "hash.json", tmp_path / "hash_again.json"
+    save_hash_model(first, model, seed=42, config_hash="cfg", meta={"final_loss": 0.25})
+    shapes, meta = _stored(first)
+    assert shapes == {
+        "layer0.bias": [12], "layer0.weight": [10, 12],
+        "layer1.bias": [6], "layer1.weight": [12, 6],
+    }
+    assert meta == {"architecture": {"widths": [10, 12, 6], "activations": ["tanh", "tanh"]},
+                    "final_loss": 0.25}
+    loaded, checkpoint = load_hash_model(first)
+    save_hash_model(again, loaded, seed=checkpoint.seed, config_hash=checkpoint.config_hash,
+                    meta={"final_loss": checkpoint.meta["final_loss"]})
+    assert again.read_bytes() == first.read_bytes()
+
+    first, again = tmp_path / "stack.json", tmp_path / "stack_again.json"
+    save_attack_stack(first, _demo_stack(), seed=9, config_hash="cfg")
+    shapes, meta = _stored(first)
+    assert sorted(shapes) == [
+        "discriminator.layer0.bias", "discriminator.layer0.weight",
+        "discriminator.layer1.bias", "discriminator.layer1.weight",
+        "generator.core.layer0.bias", "generator.core.layer0.weight",
+        "generator.core.layer1.bias", "generator.core.layer1.weight",
+        "generator.decoder.layer0.bias", "generator.decoder.layer0.weight",
+        "generator.decoder.layer1.bias", "generator.decoder.layer1.weight",
+        "generator.head.bias", "generator.head.weight",
+        "prototype.code_head.bias", "prototype.code_head.weight",
+        "prototype.label_head.bias", "prototype.label_head.weight",
+        "prototype.trunk.layer0.bias", "prototype.trunk.layer0.weight",
+        "prototype.trunk.layer1.bias", "prototype.trunk.layer1.weight",
+    ]
+    assert shapes["generator.head.weight"] == [24, 12]
+    assert shapes["prototype.trunk.layer0.weight"] == [3, 10]
+    assert meta == {
+        "prototype": {"trunk_widths": [3, 10, 8], "code_length": 6, "classes": 3},
+        "generator": {"representation_width": 8, "pixels": 12, "decoder_hidden": 9,
+                      "bottleneck": 7},
+        "discriminator": {"widths": [12, 5, 4], "classes": 3},
+    }
+    loaded, checkpoint = load_attack_stack(first)
+    save_attack_stack(again, loaded, seed=checkpoint.seed, config_hash=checkpoint.config_hash)
+    assert again.read_bytes() == first.read_bytes()
+
+
+# Fuzzed architecture meta.  Integers and floats stay in [-2, 16], so no
+# example can ask for a large allocation.
+_SMALL_INT = st.integers(-2, 16)
+_JSON = st.recursive(
+    st.none() | st.booleans() | _SMALL_INT | st.floats(-2.0, 16.0, allow_nan=False)
+    | st.sampled_from(["tanh", "relu", "sigmoid", "linear", "softmax", ""]),
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=10,
+)
+_ARCH_VALUE = _SMALL_INT | st.lists(_SMALL_INT, max_size=5) | _JSON
+
+
+def _mutations(fields):
+    """{(meta section, field): drawn value} for one to three of ``fields``."""
+    return st.dictionaries(st.sampled_from(fields), _ARCH_VALUE, min_size=1, max_size=3)
+
+
+def _load_fuzzed(save, load, mutations):
+    """Save a valid checkpoint, overwrite the drawn meta fields, and load it.
+
+    The load must either give back the stored tensors or raise a
+    CheckpointError.
+    """
+    with tempfile.TemporaryDirectory() as scratch:
+        target = Path(scratch) / "fuzzed.json"
+        save(target)
+
+        def mutate(payload):
+            for (section, name), value in mutations.items():
+                payload["meta"][section][name] = value
+
+        _rewrite(target, mutate)
+        try:
+            network, checkpoint = load(target)
+        except CheckpointError:
+            return
+    loaded = network.state_dict()
+    assert loaded.keys() == checkpoint.tensors.keys()
+    assert all(np.array_equal(loaded[name], checkpoint.tensors[name]) for name in loaded)
+
+
+@settings(deadline=None)
+@given(_mutations([("architecture", "widths"), ("architecture", "activations")]))
+def test_fuzzed_hash_model_architecture_loads_or_raises_checkpoint_error(mutations):
+    model = HashModel.create(np.random.default_rng(3), 10, 6, hidden_widths=(12,))
+    _load_fuzzed(lambda path: save_hash_model(path, model), load_hash_model, mutations)
+
+
+@settings(deadline=None)
+@given(_mutations([("prototype", "trunk_widths"), ("prototype", "code_length"),
+                   ("prototype", "classes"), ("generator", "representation_width"),
+                   ("generator", "pixels"), ("generator", "decoder_hidden"),
+                   ("generator", "bottleneck"), ("discriminator", "widths"),
+                   ("discriminator", "classes")]))
+def test_fuzzed_attack_stack_architecture_loads_or_raises_checkpoint_error(mutations):
+    stack = _demo_stack()
+    _load_fuzzed(lambda path: save_attack_stack(path, stack), load_attack_stack, mutations)

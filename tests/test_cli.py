@@ -59,6 +59,14 @@ def test_non_finite_config_floats_exit_one(tmp_path, capsys, line):
     assert not (tmp_path / "run").exists()
 
 
+def test_non_positive_hidden_width_exits_one(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("hash_hidden_widths = 0\n")
+    assert _run(["gen-data"], tmp_path, config=str(bad)) == 1
+    assert "widths must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_stage_failure_exits_two(tmp_path, capsys):
     config = _config_file(tmp_path)
     assert _run(["train-hash"], tmp_path, config=config) == 2

@@ -114,6 +114,15 @@ def test_validate_rejects_non_finite_floats(line):
         config.validate()
 
 
+@pytest.mark.parametrize("line", ["hash_hidden_widths = 0", "transfer_hidden_widths = 96,-2",
+                                  "prototype_hidden_widths = -2",
+                                  "discriminator_hidden_widths = 64,0"])
+def test_validate_rejects_non_positive_hidden_widths(line):
+    config = ExperimentConfig.from_text(line + "\n")
+    with pytest.raises(InputError, match="widths must be positive"):
+        config.validate()
+
+
 def test_float_formatting_survives_round_trip():
     config = ExperimentConfig(epsilon=8.0 / 255.0, noise_sigma=1e-4)
     back = ExperimentConfig.from_text(config.to_text())

@@ -12,7 +12,6 @@ from hashattack.evaluation import (
     pr_curve,
     precision_at_topn,
     rank_database,
-    retrieval_map,
     t_map,
     topn_grid,
 )
@@ -79,7 +78,6 @@ def _single_query_setup():
 def test_t_map_single_query_equals_average_precision():
     codes, labels, matrix, db_labels = _single_query_setup()
     assert t_map(codes, labels, matrix, db_labels) == pytest.approx(5.0 / 6.0)
-    assert retrieval_map(codes, labels, matrix, db_labels) == pytest.approx(5.0 / 6.0)
 
 
 def test_t_map_is_one_when_relevant_items_rank_first():

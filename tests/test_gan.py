@@ -128,7 +128,7 @@ def test_zero_generator_emits_midrange_pixels(rng):
     gen = _zero_generator()
     x = rng.random((2, 3))
     rep = rng.random((2, 2))
-    out = gen.forward_values(x, rep)
+    out = gen.forward(x, rep).values
     assert np.array_equal(out, np.full((2, 3), 0.5))
 
 
@@ -136,18 +136,21 @@ def test_generator_forward_deterministic_and_bounded(rng):
     gen = Generator.create(rng, 3, 5, decoder_hidden=4, bottleneck=4)
     x = rng.random((4, 5))
     rep = rng.normal(size=(4, 3))
-    a = gen.forward_values(x, rep)
-    b = gen.forward_values(x, rep)
+    a = gen.forward(x, rep).values
+    b = gen.forward(x, rep).values
     assert np.array_equal(a, b)
     assert a.min() > 0.0 and a.max() < 1.0
+    tape = T.Tape()
+    watch_parameters(tape, gen)
     traced = gen.forward(T.Tensor(x), T.Tensor(rep))
+    assert traced.tape is tape
     assert np.array_equal(traced.values, a)
 
 
 def test_generator_guards(rng):
     gen = Generator.create(rng, 3, 5)
     with pytest.raises(DimensionError):
-        gen.forward_values(np.zeros((2, 5)), np.zeros((3, 3)))
+        gen.forward(np.zeros((2, 5)), np.zeros((3, 3)))
     with pytest.raises(DimensionError):
         Generator(MLP.create(rng, [3, 4, 5], ["relu", "sigmoid"]),
                   MLP.create(rng, [8, 4, 5], ["relu", "relu"]),
@@ -160,7 +163,7 @@ def test_generator_guards(rng):
 
 def test_discriminator_shape_and_range(rng):
     disc = Discriminator.create(rng, 6, 3, hidden=(5,))
-    scores = disc.forward_values(rng.random((4, 6)))
+    scores = disc.forward(rng.random((4, 6))).values
     assert scores.shape == (4, 4)
     assert scores.min() > 0.0 and scores.max() < 1.0
     with pytest.raises(DimensionError):
@@ -211,7 +214,7 @@ def test_minimax_objective_gradients_match_finite_differences():
 
     # the sign targets inside the losses are piecewise constant; make
     # sure the base point is far from every flip so differences are clean
-    _, h_cont, _ = stack.prototype.forward_values(targets)
+    h_cont = stack.prototype.forward(targets).continuous_code.values
     assert np.min(np.abs(h_cont)) > 1e-3
 
     params = (stack.prototype.parameters() + stack.generator.parameters()

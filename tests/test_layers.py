@@ -70,24 +70,30 @@ def test_parameter_gradients_match_finite_differences(rng):
 
 def test_export_import_round_trip(rng):
     net = MLP.create(rng, [3, 5, 2], ["relu", "tanh"])
-    blob = net.export_tensors(prefix="net.")
+    blob = net.state_dict()
+    assert list(blob) == ["layer0.weight", "layer0.bias", "layer1.weight", "layer1.bias"]
+    assert [p for _, p in net.named_parameters()] == net.parameters()
     other = MLP.create(np.random.default_rng(99), [3, 5, 2], ["relu", "tanh"])
-    other.import_tensors(blob, prefix="net.")
+    other.load_state_dict(blob)
     x = rng.normal(size=(4, 3))
     assert np.array_equal(net.forward(T.Tensor(x)).values, other.forward(T.Tensor(x)).values)
 
 
 def test_import_rejects_missing_and_mismatched():
     net = MLP.create(np.random.default_rng(0), [3, 5, 2], ["relu", "tanh"])
-    blob = net.export_tensors()
+    blob = net.state_dict()
     short = dict(blob)
     del short["layer1.bias"]
     with pytest.raises(DimensionError):
-        net.import_tensors(short)
+        net.load_state_dict(short)
     bad = dict(blob)
     bad["layer0.weight"] = np.zeros((3, 6))
     with pytest.raises(DimensionError):
-        net.import_tensors(bad)
+        net.load_state_dict(bad)
+    extra = dict(blob)
+    extra["layer9.weight"] = np.zeros((2, 2))
+    with pytest.raises(DimensionError):
+        net.load_state_dict(extra)
 
 
 def test_untraced_forward_matches_traced(rng):

@@ -3,7 +3,7 @@ import pytest
 
 from hashattack import tensor as T
 from hashattack.errors import DimensionError, InputError
-from hashattack.layers import MLP, DenseLayer
+from hashattack.layers import MLP, DenseLayer, watch_parameters
 from hashattack.prototype import PrototypeNet, loss_prototype
 
 from conftest import assert_grad_close, finite_difference
@@ -16,9 +16,14 @@ def _zero_net(classes=3, code_length=4, width=5):
     return PrototypeNet(trunk, code_head, label_head)
 
 
+def _output_values(net, labels):
+    out = net.forward(labels)
+    return out.representation.values, out.continuous_code.values, out.predicted_label.values
+
+
 def test_zero_network_outputs():
     net = _zero_net()
-    _, code, pred = net.forward_values(np.array([[0.0, 1.0, 0.0]]))
+    _, code, pred = _output_values(net, np.array([[0.0, 1.0, 0.0]]))
     assert np.array_equal(code, np.zeros((1, 4)))
     assert np.array_equal(pred, np.full((1, 3), 0.5))
     assert np.array_equal(net.prototype_code([1.0, 0.0, 0.0]), np.ones(4))
@@ -27,8 +32,8 @@ def test_zero_network_outputs():
 def test_forward_is_deterministic(rng):
     net = PrototypeNet.create(rng, 4, 6)
     y = np.array([[0.0, 1.0, 0.0, 1.0]])
-    a = net.forward_values(y)
-    b = net.forward_values(y)
+    a = _output_values(net, y)
+    b = _output_values(net, y)
     for left, right in zip(a, b):
         assert np.array_equal(left, right)
 
@@ -36,11 +41,11 @@ def test_forward_is_deterministic(rng):
 def test_all_zero_label_rejected(rng):
     net = PrototypeNet.create(rng, 3, 4)
     with pytest.raises(InputError):
-        net.forward_values(np.zeros((1, 3)))
+        net.forward(np.zeros((1, 3)))
     with pytest.raises(InputError):
         net.forward(T.Tensor(np.zeros((2, 3))))
     with pytest.raises(DimensionError):
-        net.forward_values(np.ones((1, 5)))
+        net.forward(np.ones((1, 5)))
 
 
 def test_forward_matches_straight_line_oracle(rng):
@@ -52,7 +57,7 @@ def test_forward_matches_straight_line_oracle(rng):
     code_want = np.tanh(h @ net.code_head.weight.values + net.code_head.bias.values)
     z = h @ net.label_head.weight.values + net.label_head.bias.values
     pred_want = 1.0 / (1.0 + np.exp(-z))
-    rep, code, pred = net.forward_values(y)
+    rep, code, pred = _output_values(net, y)
     assert np.allclose(rep, h, rtol=0.0, atol=1e-12)
     assert np.allclose(code, code_want, rtol=0.0, atol=1e-12)
     assert np.allclose(pred, pred_want, rtol=0.0, atol=1e-12)
@@ -61,8 +66,12 @@ def test_forward_matches_straight_line_oracle(rng):
 def test_traced_and_untraced_forward_agree(rng):
     net = PrototypeNet.create(rng, 4, 5)
     y = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    tape = T.Tape()
+    watch_parameters(tape, net)
     out = net.forward(T.Tensor(y))
-    rep, code, pred = net.forward_values(y)
+    assert out.continuous_code.tape is tape
+    net.detach()
+    rep, code, pred = _output_values(net, y)
     assert np.array_equal(out.representation.values, rep)
     assert np.array_equal(out.continuous_code.values, code)
     assert np.array_equal(out.predicted_label.values, pred)
@@ -160,15 +169,14 @@ def test_loss_gradients_match_finite_differences(rng):
 
 def test_export_import_round_trip(rng):
     net = PrototypeNet.create(rng, 4, 6)
-    blob = net.export_tensors(prefix="p.")
+    blob = net.state_dict()
     other = PrototypeNet.create(np.random.default_rng(123), 4, 6)
-    other.import_tensors(blob, prefix="p.")
+    other.load_state_dict(blob)
     y = np.array([[1.0, 0.0, 0.0, 1.0]])
-    for a, b in zip(net.forward_values(y), other.forward_values(y)):
+    for a, b in zip(_output_values(net, y), _output_values(other, y)):
         assert np.array_equal(a, b)
     with pytest.raises(DimensionError):
-        other.import_tensors({k: v for k, v in blob.items() if "code_head" not in k},
-                             prefix="p.")
+        other.load_state_dict({k: v for k, v in blob.items() if "code_head" not in k})
 
 
 def test_architecture_summary(rng):
