@@ -84,61 +84,60 @@ def anchor_code_for_label(target_label, db_labels, code_matrix, rng, set_size=9)
     return anchor_code(code_matrix[:, chosen].T)
 
 
-def iterative_gradient_attack(model, image, target_code, budget, target_label=None):
+def iterative_gradient_attack(model, images, target_codes, budget, target_labels=None):
     """Signed-gradient descent on the code-alignment loss within an L-inf ball.
 
+    Attacks a (count, pixels) block toward a (count, K) code block on one
+    tape per iteration.  The loss is a batch sum, so each row's gradient
+    is that row's own one-row gradient and rows never affect each other.
     Every iteration steps against the gradient sign, then projects onto
-    the epsilon ball around the original image and the [0,1] pixel box.
+    the epsilon ball around the original images and the [0,1] pixel box.
+    Each example's ``generation_time`` is the wall time of the whole call,
+    when its result exists: per-image latency, not inverse throughput.
     """
     budget.validate()
-    image = np.asarray(image, dtype=np.float64)
-    target_code = np.asarray(target_code, dtype=np.float64)
-    if image.ndim != 1:
-        raise DimensionError(f"attack operates on one flat image, got {image.shape}")
-    if target_code.shape != (model.code_length,):
+    images = np.asarray(images, dtype=np.float64)
+    target_codes = np.asarray(target_codes, dtype=np.float64)
+    if images.ndim != 2:
+        raise DimensionError(f"attack operates on a (count, pixels) block, got {images.shape}")
+    count = images.shape[0]
+    labels = ([None] * count if target_labels is None
+              else np.asarray(target_labels, dtype=np.float64))
+    if target_codes.shape != (count, model.code_length) or len(labels) != count:
         raise DimensionError(
-            f"target code must have length {model.code_length}, got {target_code.shape}"
+            f"need {count} target codes of length {model.code_length} and {count} target "
+            f"labels, got codes {target_codes.shape} and {len(labels)} labels"
         )
-    low = np.clip(image - budget.epsilon, 0.0, 1.0)
-    high = np.clip(image + budget.epsilon, 0.0, 1.0)
+    low = np.clip(images - budget.epsilon, 0.0, 1.0)
+    high = np.clip(images + budget.epsilon, 0.0, 1.0)
     start = time.perf_counter()
-    perturbed = image.copy()
+    perturbed = images.copy()
     for _ in range(budget.iterations):
         tape = T.Tape()
-        current = tape.watch(T.Tensor(perturbed.reshape(1, -1)))
-        objective = loss_hamming(target_code.reshape(1, -1), model.forward(current))
-        gradient = T.backward(tape, objective).wrt(current)[0]
+        current = tape.watch(T.Tensor(perturbed))
+        objective = loss_hamming(target_codes, model.forward(current))
+        gradient = T.backward(tape, objective).wrt(current)
         perturbed = np.clip(perturbed - budget.step_size * np.sign(gradient), low, high)
     elapsed = time.perf_counter() - start
-    return AdversarialExample(
-        original=image,
-        perturbed=perturbed,
-        target_label=None if target_label is None else np.asarray(target_label, dtype=np.float64),
-        generation_time=elapsed,
-    )
+    return [AdversarialExample(original=image, perturbed=row, target_label=label,
+                               generation_time=elapsed)
+            for image, row, label in zip(images, perturbed, labels)]
 
 
 def p2p_attack(model, images, target_labels, db_labels, code_matrix, budget, rng):
-    """One random-target-code attack per (image, target label) pair."""
-    examples = []
-    for image, target in zip(np.asarray(images, dtype=np.float64),
-                             np.asarray(target_labels, dtype=np.float64)):
-        code = p2p_target_code(target, db_labels, code_matrix, rng)
-        examples.append(iterative_gradient_attack(model, image, code, budget,
-                                                  target_label=target))
-    return examples
+    """Random-target-code attacks on every (image, target label) row pair."""
+    target_labels = np.asarray(target_labels, dtype=np.float64)
+    codes = [p2p_target_code(target, db_labels, code_matrix, rng) for target in target_labels]
+    return iterative_gradient_attack(model, images, codes, budget, target_labels)
 
 
 def anchor_attack(model, images, target_labels, db_labels, code_matrix, budget, rng,
                   set_size=9):
-    """One anchor-code attack per (image, target label) pair."""
-    examples = []
-    for image, target in zip(np.asarray(images, dtype=np.float64),
-                             np.asarray(target_labels, dtype=np.float64)):
-        code = anchor_code_for_label(target, db_labels, code_matrix, rng, set_size)
-        examples.append(iterative_gradient_attack(model, image, code, budget,
-                                                  target_label=target))
-    return examples
+    """Anchor-code attacks on every (image, target label) row pair."""
+    target_labels = np.asarray(target_labels, dtype=np.float64)
+    codes = [anchor_code_for_label(target, db_labels, code_matrix, rng, set_size)
+             for target in target_labels]
+    return iterative_gradient_attack(model, images, codes, budget, target_labels)
 
 
 def noise_queries(images, epsilon, rng):

@@ -123,15 +123,24 @@ def _save_module(path, kind, module, architecture, seed, config_hash, meta):
     ))
 
 
-def _load_module(path, kind, config_hash, build):
+def _load_module(path, kind, config_hash, build, architecture):
     """Build a module from the stored architecture, then import its tensors.
 
     ``build(rng, meta)`` makes the scaffold; the import overwrites all of
-    its initial weights, so any seed works.
+    its initial weights, so any seed works.  ``architecture(module)`` must
+    then give back every stored architecture entry exactly, so redundant
+    fields the build does not read cannot disagree with the network.
     """
     checkpoint = load_checkpoint(path, kind=kind, config_hash=config_hash)
     try:
         module = build(np.random.default_rng(0), checkpoint.meta)
+        for key, rebuilt in architecture(module).items():
+            stored = checkpoint.meta.get(key)
+            if json.dumps(rebuilt, sort_keys=True) != json.dumps(stored, sort_keys=True):
+                raise CheckpointCorruptError(
+                    f"{path}: stored {key} {stored!r} disagrees with the network "
+                    f"it builds, {rebuilt!r}"
+                )
         module.load_state_dict(checkpoint.tensors)
     except (IndexError, KeyError, TypeError, ValueError) as err:
         raise CheckpointCorruptError(f"malformed checkpoint {path}: {err}") from err
@@ -142,13 +151,18 @@ def _build_hash_model(rng, meta):
     return HashModel(MLP.create(rng, **meta["architecture"]))
 
 
+def _hash_model_architecture(model):
+    return {"architecture": model.net.architecture()}
+
+
 def save_hash_model(path, model, seed=None, config_hash=None, meta=None):
-    _save_module(path, "hash_model", model, {"architecture": model.net.architecture()},
+    _save_module(path, "hash_model", model, _hash_model_architecture(model),
                  seed, config_hash, meta)
 
 
 def load_hash_model(path, config_hash=None):
-    return _load_module(path, "hash_model", config_hash, _build_hash_model)
+    return _load_module(path, "hash_model", config_hash, _build_hash_model,
+                        _hash_model_architecture)
 
 
 def save_attack_stack(path, stack, seed=None, config_hash=None, meta=None):
@@ -156,4 +170,5 @@ def save_attack_stack(path, stack, seed=None, config_hash=None, meta=None):
 
 
 def load_attack_stack(path, config_hash=None):
-    return _load_module(path, "attack_stack", config_hash, AttackStack.from_architecture)
+    return _load_module(path, "attack_stack", config_hash, AttackStack.from_architecture,
+                        AttackStack.architecture)

@@ -94,7 +94,11 @@ class ExperimentConfig:
         path = Path(path)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
-        return cls.from_text(path.read_text())
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"config file {path} is not UTF-8 text: {err}") from err
+        return cls.from_text(text)
 
     def save(self, path):
         Path(path).write_text(self.to_text())

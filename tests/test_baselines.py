@@ -1,10 +1,12 @@
 """Target-code selection and bounded signed-gradient attack tests."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
 
+from hashattack import baselines
 from hashattack import tensor as T
 from hashattack.baselines import (
     AttackBudget,
@@ -157,13 +159,17 @@ def _small_model(seed=0, pixels=10, bits=6):
                             hidden_widths=(8,))
 
 
+def _codes(rng, count, bits=6):
+    return np.where(rng.random((count, bits)) < 0.5, 1.0, -1.0)
+
+
 def test_zero_epsilon_attack_returns_the_input(rng):
     model = _small_model()
-    image = rng.random(10)
-    target = np.where(rng.random(6) < 0.5, 1.0, -1.0)
+    image = rng.random((1, 10))
+    target = _codes(rng, 1)
     budget = AttackBudget(epsilon=0.0, step_size=0.1, iterations=5)
-    result = iterative_gradient_attack(model, image, target, budget)
-    assert np.array_equal(result.perturbed, image)
+    [result] = iterative_gradient_attack(model, image, target, budget)
+    assert np.array_equal(result.perturbed, image[0])
     assert result.generation_time > 0.0
 
 
@@ -173,29 +179,29 @@ def test_attack_respects_ball_and_pixel_box(rng):
         budget = AttackBudget(epsilon=epsilon, step_size=epsilon / 4.0,
                               iterations=12)
         for _ in range(5):
-            image = rng.random(10)
-            target = np.where(rng.random(6) < 0.5, 1.0, -1.0)
-            result = iterative_gradient_attack(model, image, target, budget)
-            assert np.max(np.abs(result.perturbed - image)) <= epsilon + 1e-12
+            image = rng.random((1, 10))
+            target = _codes(rng, 1)
+            [result] = iterative_gradient_attack(model, image, target, budget)
+            assert np.max(np.abs(result.perturbed - image[0])) <= epsilon + 1e-12
             assert np.all(result.perturbed >= 0.0)
             assert np.all(result.perturbed <= 1.0)
 
 
 def test_single_iteration_takes_one_signed_step(rng):
     model = _small_model(seed=4)
-    image = rng.random(10)
-    target = np.where(rng.random(6) < 0.5, 1.0, -1.0)
+    image = rng.random((1, 10))
+    target = _codes(rng, 1)
     epsilon = 0.07
     budget = AttackBudget(epsilon=epsilon, step_size=epsilon, iterations=1)
-    result = iterative_gradient_attack(model, image, target, budget)
+    [result] = iterative_gradient_attack(model, image, target, budget)
     tape = T.Tape()
-    current = tape.watch(T.Tensor(image.reshape(1, -1)))
-    objective = loss_hamming(target.reshape(1, -1), model.forward(current))
+    current = tape.watch(T.Tensor(image))
+    objective = loss_hamming(target, model.forward(current))
     gradient = T.backward(tape, objective).wrt(current)[0]
     expected = np.clip(
-        image - epsilon * np.sign(gradient),
-        np.clip(image - epsilon, 0.0, 1.0),
-        np.clip(image + epsilon, 0.0, 1.0),
+        image[0] - epsilon * np.sign(gradient),
+        np.clip(image[0] - epsilon, 0.0, 1.0),
+        np.clip(image[0] + epsilon, 0.0, 1.0),
     )
     assert np.array_equal(result.perturbed, expected)
 
@@ -203,10 +209,49 @@ def test_single_iteration_takes_one_signed_step(rng):
 def test_attack_shape_guards(rng):
     model = _small_model()
     budget = AttackBudget()
+    # one flat image is not a block
+    with pytest.raises(DimensionError):
+        iterative_gradient_attack(model, rng.random(10), np.ones((1, 6)), budget)
     with pytest.raises(DimensionError):
         iterative_gradient_attack(model, rng.random((2, 10)), np.ones(6), budget)
+    # one code too few or too many
+    for rows in (1, 3):
+        with pytest.raises(DimensionError):
+            iterative_gradient_attack(model, rng.random((2, 10)), np.ones((rows, 6)), budget)
+    # codes of the wrong width
     with pytest.raises(DimensionError):
-        iterative_gradient_attack(model, rng.random(10), np.ones(5), budget)
+        iterative_gradient_attack(model, rng.random((1, 10)), np.ones((1, 5)), budget)
+    # target labels must come one per image as well
+    with pytest.raises(DimensionError):
+        iterative_gradient_attack(model, rng.random((2, 10)), np.ones((2, 6)), budget,
+                                  target_labels=np.ones((3, 2)))
+
+
+def test_other_rows_never_change_a_rows_result(rng):
+    model = _small_model(seed=7)
+    images = rng.random((5, 10))
+    targets = _codes(rng, 5)
+    budget = AttackBudget(epsilon=0.2, step_size=0.05, iterations=15)
+    first = iterative_gradient_attack(model, images, targets, budget)
+    for _ in range(3):
+        others = images.copy()
+        other_targets = targets.copy()
+        others[1:] = rng.random((4, 10))
+        other_targets[1:] = _codes(rng, 4)
+        again = iterative_gradient_attack(model, others, other_targets, budget)
+        assert np.array_equal(again[0].perturbed, first[0].perturbed)
+
+
+def test_every_example_of_a_call_carries_the_call_latency(rng):
+    model = _small_model(seed=2)
+    budget = AttackBudget(epsilon=0.1, step_size=0.02, iterations=200)
+    started = time.perf_counter()
+    examples = iterative_gradient_attack(model, rng.random((8, 10)), _codes(rng, 8), budget)
+    wall = time.perf_counter() - started
+    times = {example.generation_time for example in examples}
+    assert len(times) == 1
+    # the latency of the whole call, not the call divided by the row count
+    assert wall / 2.0 < times.pop() <= wall
 
 
 def _trained_toy_model():
@@ -232,8 +277,28 @@ def test_attack_reduces_code_alignment_loss():
         u = model.continuous_codes(x.reshape(1, -1))[0]
         return 1.0 - float(target @ u) / model.code_length
 
-    result = iterative_gradient_attack(model, image, target, budget)
+    [result] = iterative_gradient_attack(model, image.reshape(1, -1),
+                                         target.reshape(1, -1), budget)
     assert alignment(result.perturbed) < alignment(image)
+
+
+def test_block_attack_equals_one_row_attacks():
+    model, bundle = _trained_toy_model()
+    images = bundle.query_images
+    targets = _codes(np.random.default_rng(6), images.shape[0])
+    labels = np.eye(3)[np.arange(images.shape[0]) % 3]
+    budget = AttackBudget(epsilon=0.3, step_size=0.03, iterations=40)
+    block = iterative_gradient_attack(model, images, targets, budget, target_labels=labels)
+    assert len(block) == images.shape[0]
+    for row, example in enumerate(block):
+        [alone] = iterative_gradient_attack(model, images[row:row + 1],
+                                            targets[row:row + 1], budget,
+                                            target_labels=labels[row:row + 1])
+        assert np.array_equal(example.perturbed, alone.perturbed)
+        assert np.array_equal(example.original, images[row])
+        assert np.array_equal(example.target_label, labels[row])
+    # the attack moved the block, so the equality above is not vacuous
+    assert not np.array_equal(np.stack([e.perturbed for e in block]), images)
 
 
 def test_p2p_and_anchor_agree_given_the_same_target_code():
@@ -251,6 +316,55 @@ def test_p2p_and_anchor_agree_given_the_same_target_code():
                            budget, np.random.default_rng(1))
     assert np.array_equal(first[0].perturbed, second[0].perturbed)
     assert np.array_equal(first[0].target_label, targets[0])
+
+
+def _spy_on_attack(monkeypatch):
+    """Record the arguments of every call p2p/anchor make to the attack."""
+    calls = []
+    real = baselines.iterative_gradient_attack
+
+    def spy(model, images, target_codes, budget, target_labels=None):
+        calls.append(np.array(target_codes))
+        return real(model, images, target_codes, budget, target_labels)
+
+    monkeypatch.setattr(baselines, "iterative_gradient_attack", spy)
+    return calls
+
+
+def _code_draw_setup():
+    db_labels = np.eye(3)[np.arange(30) % 3]
+    code_matrix = np.where(np.random.default_rng(4).random((6, 30)) < 0.5, 1.0, -1.0)
+    targets = np.eye(3)[[2, 0, 1, 1, 2, 0, 0]]
+    images = np.random.default_rng(5).random((targets.shape[0], 10))
+    return db_labels, code_matrix, targets, images
+
+
+def test_p2p_draws_codes_like_sequential_calls(monkeypatch):
+    db_labels, code_matrix, targets, images = _code_draw_setup()
+    sequential = np.random.default_rng(31)
+    expected = [p2p_target_code(t, db_labels, code_matrix, sequential) for t in targets]
+    calls = _spy_on_attack(monkeypatch)
+    rng = np.random.default_rng(31)
+    budget = AttackBudget(epsilon=0.1, step_size=0.05, iterations=2)
+    examples = p2p_attack(_small_model(), images, targets, db_labels, code_matrix, budget, rng)
+    assert len(calls) == 1 and np.array_equal(calls[0], np.stack(expected))
+    assert rng.random() == sequential.random()
+    assert [tuple(e.target_label) for e in examples] == [tuple(t) for t in targets]
+
+
+def test_anchor_attack_draws_codes_like_sequential_calls(monkeypatch):
+    db_labels, code_matrix, targets, images = _code_draw_setup()
+    sequential = np.random.default_rng(32)
+    expected = [anchor_code_for_label(t, db_labels, code_matrix, sequential, set_size=3)
+                for t in targets]
+    calls = _spy_on_attack(monkeypatch)
+    rng = np.random.default_rng(32)
+    budget = AttackBudget(epsilon=0.1, step_size=0.05, iterations=2)
+    examples = anchor_attack(_small_model(), images, targets, db_labels, code_matrix,
+                             budget, rng, set_size=3)
+    assert len(calls) == 1 and np.array_equal(calls[0], np.stack(expected))
+    assert rng.random() == sequential.random()
+    assert len(examples) == targets.shape[0]
 
 
 def test_noise_queries_bounds_and_determinism(rng):

@@ -236,6 +236,32 @@ def test_attack_stack_with_empty_widths_is_corrupt(tmp_path, network, field):
         load_attack_stack(target)
 
 
+def test_attack_stack_with_a_disagreeing_trunk_input_width_is_corrupt(tmp_path):
+    # the rebuild takes the trunk's input width from classes, not from here
+    target = tmp_path / "stack.json"
+    save_attack_stack(target, _demo_stack())
+
+    def widen(payload):
+        payload["meta"]["prototype"]["trunk_widths"][0] = 99
+
+    _rewrite(target, widen)
+    with pytest.raises(CheckpointCorruptError, match="prototype"):
+        load_attack_stack(target)
+
+
+def test_attack_stack_with_a_disagreeing_discriminator_output_width_is_corrupt(tmp_path):
+    # the rebuild derives the discriminator's output width from classes
+    target = tmp_path / "stack.json"
+    save_attack_stack(target, _demo_stack())
+
+    def widen(payload):
+        payload["meta"]["discriminator"]["widths"][-1] = 77
+
+    _rewrite(target, widen)
+    with pytest.raises(CheckpointCorruptError, match="discriminator"):
+        load_attack_stack(target)
+
+
 def _stored(path):
     payload = json.loads(path.read_text())
     shapes = {name: entry["shape"] for name, entry in payload["tensors"].items()}

@@ -67,6 +67,15 @@ def test_non_positive_hidden_width_exits_one(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_non_utf8_config_exits_one(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"\xff\xfeclasses = 3\n")
+    assert _run(["gen-data"], tmp_path, config=str(bad)) == 1
+    err = capsys.readouterr().err
+    assert "not UTF-8" in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
 def test_stage_failure_exits_two(tmp_path, capsys):
     config = _config_file(tmp_path)
     assert _run(["train-hash"], tmp_path, config=config) == 2

@@ -1,6 +1,12 @@
 """Configuration parsing, canonical serialization, and hashing tests."""
 
+import tempfile
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hashattack.baselines import AttackBudget
 from hashattack.config import ExperimentConfig
@@ -128,3 +134,44 @@ def test_float_formatting_survives_round_trip():
     back = ExperimentConfig.from_text(config.to_text())
     assert back.epsilon == config.epsilon
     assert back.noise_sigma == config.noise_sigma
+
+
+def test_non_utf8_file_is_a_config_error(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"\xff\xfeclasses = 3\n")
+    with pytest.raises(ConfigError, match="not UTF-8"):
+        ExperimentConfig.from_file(path)
+
+
+# Fuzzed config text: free text, and lines built from real keys with
+# values of every field type, so the drawn examples reach each parser.
+_KEYS = st.sampled_from([spec.name for spec in fields(ExperimentConfig)]) | st.text(max_size=5)
+_VALUES = (st.text(max_size=8) | st.integers(-3, 300).map(str) | st.floats().map(repr)
+           | st.sampled_from(["true", "false", "32,16", "1,,2", "", "1_0", "9" * 5000]))
+_LINES = st.lists(st.tuples(_KEYS, st.sampled_from(["=", " = ", ":", "=="]), _VALUES)
+                  .map("".join), max_size=6).map("\n".join)
+_TEXT = st.text() | _LINES
+
+
+def _loads_or_config_error(parse, source):
+    try:
+        config = parse(source)
+    except ConfigError:
+        return
+    for spec in fields(config):
+        assert isinstance(getattr(config, spec.name), spec.type), spec.name
+
+
+@settings(deadline=None)
+@given(_TEXT)
+def test_fuzzed_text_loads_or_raises_config_error(text):
+    _loads_or_config_error(ExperimentConfig.from_text, text)
+
+
+@settings(deadline=None)
+@given(st.binary(max_size=200) | _TEXT.map(lambda text: text.encode("utf-8", "surrogatepass")))
+def test_fuzzed_file_bytes_load_or_raise_config_error(data):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "fuzzed.cfg"
+        path.write_bytes(data)
+        _loads_or_config_error(ExperimentConfig.from_file, path)

@@ -145,3 +145,23 @@ def test_eval_without_optional_artifacts(tiny_config, tmp_path):
     # no adversarial files and no attack stack yet: only the rows that
     # need nothing beyond the hash model appear
     assert set(report["methods"]) == {"Original", "Anchor-code"}
+
+
+def test_timings_give_per_image_latency_and_throughput(tiny_config, tmp_path):
+    for name in ("gen_data", "train_hash", "encode_db", "train_attack", "attack",
+                 "p2p", "dhta", "noise"):
+        experiment.execute_stage(name, tiny_config, 6, tmp_path)
+    timings = json.loads((tmp_path / "timings.json").read_text())
+    count = tiny_config.query_size
+    for method, stage in (("prosgan", "attack"), ("p2p", "p2p"), ("dhta", "dhta"),
+                          ("noise", "noise")):
+        latency = timings[f"generation_{method}_seconds"]
+        throughput = timings[f"throughput_{method}_images_per_second"]
+        # no image can take longer than the stage that produced it
+        assert 0.0 < latency <= timings[f"{stage}_seconds"], method
+        if method == "prosgan":
+            # one image at a time: throughput is the inverse latency
+            assert throughput * latency == pytest.approx(1.0), method
+        else:
+            # one call for the whole block: every image waits for all of it
+            assert throughput * latency == pytest.approx(count), method
