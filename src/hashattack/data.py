@@ -8,11 +8,14 @@ strong shared structure.  Images are flat row vectors in [0,1]; labels
 are 0/1 indicator vectors.
 """
 
+import zlib
+import zipfile
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, InputError
+from .errors import CheckpointCorruptError, CheckpointMissingError, DimensionError, InputError
 
 
 @dataclass(frozen=True)
@@ -149,29 +152,38 @@ def unique_labels(labels):
     return np.unique(labels, axis=0)
 
 
+BUNDLE_KEYS = ("image_spec", "class_templates", "train_images", "train_labels",
+               "database_images", "database_labels", "query_images", "query_labels")
+
+
+def load_npz(path, keys):
+    """The named arrays of an npz archive, in ``keys`` order; unreadable is corrupt."""
+    name = Path(path).name
+    try:
+        blob = np.load(path)
+        if not isinstance(blob, np.lib.npyio.NpzFile):
+            raise ValueError("not an npz archive")
+        with blob:
+            arrays = tuple(blob[key] for key in keys)
+    except FileNotFoundError as err:
+        raise CheckpointMissingError(f"missing {name}") from err
+    # zipfile raises RuntimeError for encrypted or unsupported-method members
+    except (OSError, EOFError, ValueError, KeyError, RuntimeError,
+            zipfile.BadZipFile, zlib.error) as err:
+        raise CheckpointCorruptError(f"unreadable {name}: {err}") from err
+    if not all(isinstance(array, np.ndarray) for array in arrays):
+        raise CheckpointCorruptError(f"{name} holds a member that is not an array")
+    return arrays
+
+
 def save_bundle(bundle, path):
-    np.savez(
-        path,
-        image_spec=np.asarray(bundle.image_spec, dtype=np.int64),
-        class_templates=bundle.class_templates,
-        train_images=bundle.train_images,
-        train_labels=bundle.train_labels,
-        database_images=bundle.database_images,
-        database_labels=bundle.database_labels,
-        query_images=bundle.query_images,
-        query_labels=bundle.query_labels,
-    )
+    arrays = {key: getattr(bundle, key) for key in BUNDLE_KEYS}
+    arrays["image_spec"] = np.asarray(bundle.image_spec, dtype=np.int64)
+    np.savez(path, **arrays)
 
 
 def load_bundle(path):
-    with np.load(path) as blob:
-        return DatasetBundle(
-            image_spec=tuple(int(v) for v in blob["image_spec"]),
-            class_templates=blob["class_templates"],
-            train_images=blob["train_images"],
-            train_labels=blob["train_labels"],
-            database_images=blob["database_images"],
-            database_labels=blob["database_labels"],
-            query_images=blob["query_images"],
-            query_labels=blob["query_labels"],
-        )
+    spec, *arrays = load_npz(path, BUNDLE_KEYS)
+    if spec.shape != (3,) or spec.dtype.kind not in "iu":
+        raise CheckpointCorruptError(f"{Path(path).name}: bad image spec {spec!r}")
+    return DatasetBundle(tuple(int(v) for v in spec), *arrays)

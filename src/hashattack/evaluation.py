@@ -1,10 +1,11 @@
 """Hamming-ranked retrieval metrics.
 
-Ranking sorts database items by ascending Hamming distance with ties
-broken by database index.  Average precision runs over the full ranking
-with the shared-class relevance rule, so the same machinery scores both
-true-label retrieval quality and targeted-attack success (relevance
-judged against the attack's target label).
+Each query set is ranked once, by ascending Hamming distance with ties
+broken by database index; AP, PR and P@N all read that one ranking.
+Average precision runs over the full ranking with the shared-class
+relevance rule, so the same machinery scores both true-label retrieval
+quality and targeted-attack success (relevance judged against the
+attack's target label).
 """
 
 from dataclasses import dataclass, field
@@ -14,12 +15,6 @@ import numpy as np
 from .data import build_similarity_matrix
 from .errors import DimensionError, InputError
 from .hashing import hamming_distances
-
-
-@dataclass
-class RankedList:
-    indices: np.ndarray
-    distances: np.ndarray
 
 
 @dataclass
@@ -35,11 +30,12 @@ class EvalReport:
     queries_without_relevant: int = 0
 
 
-def rank_database(query_code, code_matrix):
-    """Full ranking of database columns by Hamming distance to the query."""
-    distances = hamming_distances(query_code, code_matrix)
-    order = np.argsort(distances, kind="stable")
-    return RankedList(indices=order, distances=distances[order])
+def rank_database(query_codes, code_matrix):
+    """(queries, N) database order: ascending Hamming distance, ties by index."""
+    query_codes = np.asarray(query_codes, dtype=np.float64)
+    if query_codes.ndim != 2 or query_codes.shape[0] == 0:
+        raise InputError("need a non-empty (queries, K) code array")
+    return np.argsort(hamming_distances(query_codes, code_matrix), axis=1, kind="stable")
 
 
 def average_precision(relevance):
@@ -55,54 +51,50 @@ def average_precision(relevance):
     return float(np.sum((hits / ranks) * relevance) / total)
 
 
-def _ranked_relevance(query_codes, query_labels, code_matrix, db_labels):
-    """Per-query relevance lists in ranked order."""
-    query_codes = np.asarray(query_codes, dtype=np.float64)
-    if query_codes.ndim != 2 or query_codes.shape[0] == 0:
-        raise InputError("need a non-empty (queries, K) code array")
-    query_labels = np.asarray(query_labels, dtype=np.float64)
-    if query_labels.shape[0] != query_codes.shape[0]:
-        raise DimensionError(
-            f"got {query_codes.shape[0]} codes but {query_labels.shape[0]} labels"
-        )
+def _ranked_relevance(order, query_labels, db_labels):
+    """(queries, N) 0/1 relevance of each query's labels, in ranked order."""
     relevance = build_similarity_matrix(query_labels, db_labels)
-    rows = []
-    for code, rel in zip(query_codes, relevance):
-        ranked = rank_database(code, code_matrix)
-        rows.append(rel[ranked.indices])
-    return rows
+    if relevance.shape != order.shape:
+        raise DimensionError(f"(query labels, database labels) {relevance.shape} do not "
+                             f"match (codes, database codes) {order.shape}")
+    return np.take_along_axis(relevance, order, axis=1)
+
+
+def _mean_ap(ranked):
+    return float(np.mean([average_precision(row) for row in ranked]))
+
+
+def _check_ranked(ranked):
+    ranked = np.asarray(ranked, dtype=np.float64)
+    if ranked.ndim != 2 or ranked.size == 0:
+        raise DimensionError(f"need a non-empty (queries, N) relevance matrix, got {ranked.shape}")
+    return ranked
 
 
 def t_map(adv_codes, target_labels, code_matrix, db_labels):
     """Mean AP with relevance judged against each query's TARGET label."""
-    rows = _ranked_relevance(adv_codes, target_labels, code_matrix, db_labels)
-    return float(np.mean([average_precision(r) for r in rows]))
+    order = rank_database(adv_codes, code_matrix)
+    return _mean_ap(_ranked_relevance(order, target_labels, db_labels))
 
 
-def pr_curve(query_codes, query_labels, code_matrix, db_labels):
+def pr_curve(ranked):
     """Precision and recall at every rank cutoff, averaged over queries.
 
+    ``ranked`` is a (queries, N) 0/1 relevance matrix in ranked order.
     Queries with no relevant database item are excluded from the
     averages (their recall is undefined); the skip count is returned so
     reports can flag it.
     """
-    rows = _ranked_relevance(query_codes, query_labels, code_matrix, db_labels)
-    depth = len(rows[0])
-    ranks = np.arange(1, depth + 1)
-    precisions, recalls = [], []
-    skipped = 0
-    for rel in rows:
-        total = rel.sum()
-        if total == 0.0:
-            skipped += 1
-            continue
-        hits = np.cumsum(rel)
-        precisions.append(hits / ranks)
-        recalls.append(hits / total)
-    if not precisions:
+    ranked = _check_ranked(ranked)
+    totals = ranked.sum(axis=1)
+    kept = totals > 0.0
+    skipped = int(np.count_nonzero(~kept))
+    if not kept.any():
         return [], skipped
-    precision = np.mean(precisions, axis=0)
-    recall = np.mean(recalls, axis=0)
+    hits = np.cumsum(ranked[kept], axis=1)
+    ranks = np.arange(1, ranked.shape[1] + 1)
+    precision = np.mean(hits / ranks, axis=0)
+    recall = np.mean(hits / totals[kept, None], axis=0)
     curve = [(int(k), float(p), float(r))
              for k, p, r in zip(ranks, precision, recall)]
     return curve, skipped
@@ -124,18 +116,12 @@ def topn_grid(depth):
     return grid
 
 
-def precision_at_topn(query_codes, query_labels, code_matrix, db_labels, grid=None):
-    """Mean precision at each cutoff in the grid, over all queries."""
-    rows = _ranked_relevance(query_codes, query_labels, code_matrix, db_labels)
-    depth = len(rows[0])
-    if grid is None:
-        grid = topn_grid(depth)
-    for cutoff in grid:
-        if not 1 <= cutoff <= depth:
-            raise InputError(f"cutoff {cutoff} outside [1, {depth}]")
-    stacked = np.asarray(rows)
-    hits = np.cumsum(stacked, axis=1)
-    return [(int(n), float(np.mean(hits[:, n - 1] / n))) for n in grid]
+def precision_at_topn(ranked):
+    """Mean precision at each ``topn_grid`` cutoff, over all queries."""
+    ranked = _check_ranked(ranked)
+    hits = np.cumsum(ranked, axis=1)
+    return [(int(n), float(np.mean(hits[:, n - 1] / n)))
+            for n in topn_grid(ranked.shape[1])]
 
 
 def perceptibility(image, perturbed):
@@ -163,19 +149,17 @@ def mean_perceptibility(images, perturbed):
 def evaluate_queries(query_codes, relevance_labels, code_matrix, db_labels,
                      true_labels=None, originals=None, perturbed=None, times=None):
     """Full report for one query set; optional blocks fill the extra fields."""
-    rows = _ranked_relevance(query_codes, relevance_labels, code_matrix, db_labels)
-    aps = [average_precision(r) for r in rows]
-    skipped = sum(1 for r in rows if r.sum() == 0.0)
-    curve, _ = pr_curve(query_codes, relevance_labels, code_matrix, db_labels)
-    topn = precision_at_topn(query_codes, relevance_labels, code_matrix, db_labels)
+    order = rank_database(query_codes, code_matrix)
+    ranked = _ranked_relevance(order, relevance_labels, db_labels)
+    curve, skipped = pr_curve(ranked)
     report = EvalReport(
-        t_map=float(np.mean(aps)),
+        t_map=_mean_ap(ranked),
         pr_curve=curve,
-        precision_at_n=topn,
+        precision_at_n=precision_at_topn(ranked),
         queries_without_relevant=skipped,
     )
     if true_labels is not None:
-        report.map = t_map(query_codes, true_labels, code_matrix, db_labels)
+        report.map = _mean_ap(_ranked_relevance(order, true_labels, db_labels))
     if originals is not None and perturbed is not None:
         report.perceptibility = mean_perceptibility(originals, perturbed)
     if times is not None:

@@ -21,7 +21,7 @@ from .checkpoint import (
     save_attack_stack,
     save_hash_model,
 )
-from .data import gen_synthetic_dataset, load_bundle, save_bundle, unique_labels
+from .data import gen_synthetic_dataset, load_bundle, load_npz, save_bundle, unique_labels
 from .errors import CheckpointMissingError, InputError
 from .evaluation import evaluate_queries, t_map
 from .gan import _pick_targets, targeted_examples, train_attack_gan
@@ -104,14 +104,12 @@ def _load_hash(config, out):
 
 def _load_codes(out):
     path = _require(Path(out) / "codes.npz", "encode-db")
-    with np.load(path) as blob:
-        return blob["code_matrix"]
+    return load_npz(path, ("code_matrix",))[0]
 
 
 def _load_examples(out, slug):
     path = _require(Path(out) / f"adversarial_{slug}.npz", slug)
-    with np.load(path) as blob:
-        return blob["originals"], blob["perturbed"], blob["target_labels"]
+    return load_npz(path, ("originals", "perturbed", "target_labels"))
 
 
 def _save_examples(out, slug, originals, perturbed, target_labels):

@@ -33,14 +33,14 @@ def hamming_distance(a, b):
 
 
 def hamming_distances(query, code_matrix):
-    """Distances from one code to every column of a (K, N) code matrix."""
+    """Distances from one code, or each row of a (Q, K) block, to each column of (K, N)."""
     query = np.asarray(query, dtype=np.float64)
     code_matrix = np.asarray(code_matrix, dtype=np.float64)
-    if query.ndim != 1 or code_matrix.ndim != 2 or query.shape[0] != code_matrix.shape[0]:
+    if query.ndim not in (1, 2) or code_matrix.ndim != 2 or query.shape[-1] != code_matrix.shape[0]:
         raise DimensionError(
-            f"need a length-K code and a (K, N) matrix, got {query.shape} and {code_matrix.shape}"
+            f"need a code or (Q, K) block and a (K, N) matrix, got {query.shape} and {code_matrix.shape}"
         )
-    return 0.5 * (query.shape[0] - query @ code_matrix)
+    return 0.5 * (query.shape[-1] - query @ code_matrix)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,22 @@
 """Pipeline stage orchestration tests on a sub-second configuration."""
 
 import dataclasses
+import io
 import json
+import tempfile
+import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hashattack import experiment
-from hashattack.data import load_bundle
+from hashattack.data import DataConfig, gen_synthetic_dataset, load_bundle, save_bundle
 from hashattack.errors import (
+    CheckpointCorruptError,
+    CheckpointError,
     CheckpointMismatchError,
     CheckpointMissingError,
     InputError,
@@ -165,3 +173,71 @@ def test_timings_give_per_image_latency_and_throughput(tiny_config, tmp_path):
         else:
             # one call for the whole block: every image waits for all of it
             assert throughput * latency == pytest.approx(count), method
+
+
+def _npz_bytes(**arrays):
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    return buffer.getvalue()
+
+
+def _bundle_bytes():
+    buffer = io.BytesIO()
+    save_bundle(gen_synthetic_dataset(DataConfig(train_size=2, database_size=2,
+                                                 query_size=2, height=2, width=2), 1),
+                buffer)
+    return buffer.getvalue()
+
+
+# (file name, loader over the run directory, bytes of a valid file)
+_NPZ_LOADERS = {
+    "dataset": ("dataset.npz", lambda out: load_bundle(out / "dataset.npz"),
+                _bundle_bytes()),
+    "codes": ("codes.npz", experiment._load_codes,
+              _npz_bytes(code_matrix=np.ones((4, 3)))),
+    "examples": ("adversarial_p2p.npz", lambda out: experiment._load_examples(out, "p2p"),
+                 _npz_bytes(originals=np.zeros((2, 4)), perturbed=np.ones((2, 4)),
+                            target_labels=np.eye(2))),
+}
+
+
+def _damaged(valid):
+    """Arbitrary bytes, zip-headed bytes, truncations and one-byte edits of ``valid``."""
+    return st.one_of(
+        st.binary(max_size=200),
+        st.binary(max_size=200).map(lambda tail: b"PK\x03\x04" + tail),
+        st.integers(0, len(valid)).map(lambda cut: valid[:cut]),
+        st.tuples(st.integers(0, len(valid) - 1), st.integers(0, 255)).map(
+            lambda edit: valid[:edit[0]] + bytes([edit[1]]) + valid[edit[0] + 1:]),
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(_NPZ_LOADERS))
+@settings(deadline=None)
+@given(data=st.data())
+def test_fuzzed_npz_loads_or_raises_checkpoint_error(kind, data):
+    name, load, valid = _NPZ_LOADERS[kind]
+    payload = data.draw(_damaged(valid))
+    with tempfile.TemporaryDirectory() as scratch:
+        out = Path(scratch)
+        (out / name).write_bytes(payload)
+        try:
+            load(out)
+        except CheckpointError:
+            pass
+
+
+def test_damaged_codes_are_corrupt(tmp_path):
+    path = tmp_path / "codes.npz"
+    bare = io.BytesIO()
+    np.save(bare, np.ones((4, 3)))
+    raw_member = io.BytesIO()
+    with zipfile.ZipFile(raw_member, "w") as archive:
+        archive.writestr("code_matrix.npy", b"no npy header")
+    for payload, message in ((_NPZ_LOADERS["codes"][2][:40], "codes.npz"),
+                             (bare.getvalue(), "not an npz archive"),
+                             (raw_member.getvalue(), "not an array"),
+                             (_npz_bytes(codes=np.ones((4, 3))), "code_matrix")):
+        path.write_bytes(payload)
+        with pytest.raises(CheckpointCorruptError, match=message):
+            experiment._load_codes(tmp_path)

@@ -63,6 +63,12 @@ def test_hamming_distances_matches_per_column(rng):
     batch = hamming_distances(q, matrix)
     for j in range(9):
         assert batch[j] == hamming_distance(q, matrix[:, j])
+    block = binarize(rng.normal(size=(4, 6)))
+    distances = hamming_distances(block, matrix)
+    assert distances.shape == (4, 9)
+    for i in range(4):
+        for j in range(9):
+            assert distances[i, j] == hamming_distance(block[i], matrix[:, j])
 
 
 def test_zero_model_continuous_is_zero_codes_all_positive():
