@@ -7,7 +7,6 @@ signed-gradient descent on the normalized code-alignment loss, so the
 generator and the baselines optimize the identical objective.
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +14,7 @@ import numpy as np
 from . import tensor as T
 from .data import build_similarity_matrix
 from .errors import DimensionError, InputError, TargetUnsatisfiableError
-from .gan import AdversarialExample, loss_hamming
+from .gan import loss_hamming
 from .hashing import binarize
 
 
@@ -84,33 +83,28 @@ def anchor_code_for_label(target_label, db_labels, code_matrix, rng, set_size=9)
     return anchor_code(code_matrix[:, chosen].T)
 
 
-def iterative_gradient_attack(model, images, target_codes, budget, target_labels=None):
+def iterative_gradient_attack(model, images, target_codes, budget):
     """Signed-gradient descent on the code-alignment loss within an L-inf ball.
 
     Attacks a (count, pixels) block toward a (count, K) code block on one
-    tape per iteration.  The loss is a batch sum, so each row's gradient
-    is that row's own one-row gradient and rows never affect each other.
-    Every iteration steps against the gradient sign, then projects onto
-    the epsilon ball around the original images and the [0,1] pixel box.
-    Each example's ``generation_time`` is the wall time of the whole call,
-    when its result exists: per-image latency, not inverse throughput.
+    tape per iteration and returns the perturbed block.  The loss is a
+    batch sum, so each row's gradient is that row's own one-row gradient
+    and rows never affect each other.  Every iteration steps against the
+    gradient sign, then projects onto the epsilon ball around the
+    original images and the [0,1] pixel box.
     """
     budget.validate()
     images = np.asarray(images, dtype=np.float64)
     target_codes = np.asarray(target_codes, dtype=np.float64)
     if images.ndim != 2:
         raise DimensionError(f"attack operates on a (count, pixels) block, got {images.shape}")
-    count = images.shape[0]
-    labels = ([None] * count if target_labels is None
-              else np.asarray(target_labels, dtype=np.float64))
-    if target_codes.shape != (count, model.code_length) or len(labels) != count:
+    if target_codes.shape != (images.shape[0], model.code_length):
         raise DimensionError(
-            f"need {count} target codes of length {model.code_length} and {count} target "
-            f"labels, got codes {target_codes.shape} and {len(labels)} labels"
+            f"need {images.shape[0]} target codes of length {model.code_length}, "
+            f"got {target_codes.shape}"
         )
     low = np.clip(images - budget.epsilon, 0.0, 1.0)
     high = np.clip(images + budget.epsilon, 0.0, 1.0)
-    start = time.perf_counter()
     perturbed = images.copy()
     for _ in range(budget.iterations):
         tape = T.Tape()
@@ -118,26 +112,21 @@ def iterative_gradient_attack(model, images, target_codes, budget, target_labels
         objective = loss_hamming(target_codes, model.forward(current))
         gradient = T.backward(tape, objective).wrt(current)
         perturbed = np.clip(perturbed - budget.step_size * np.sign(gradient), low, high)
-    elapsed = time.perf_counter() - start
-    return [AdversarialExample(original=image, perturbed=row, target_label=label,
-                               generation_time=elapsed)
-            for image, row, label in zip(images, perturbed, labels)]
+    return perturbed
 
 
 def p2p_attack(model, images, target_labels, db_labels, code_matrix, budget, rng):
     """Random-target-code attacks on every (image, target label) row pair."""
-    target_labels = np.asarray(target_labels, dtype=np.float64)
     codes = [p2p_target_code(target, db_labels, code_matrix, rng) for target in target_labels]
-    return iterative_gradient_attack(model, images, codes, budget, target_labels)
+    return iterative_gradient_attack(model, images, codes, budget)
 
 
 def anchor_attack(model, images, target_labels, db_labels, code_matrix, budget, rng,
                   set_size=9):
     """Anchor-code attacks on every (image, target label) row pair."""
-    target_labels = np.asarray(target_labels, dtype=np.float64)
     codes = [anchor_code_for_label(target, db_labels, code_matrix, rng, set_size)
              for target in target_labels]
-    return iterative_gradient_attack(model, images, codes, budget, target_labels)
+    return iterative_gradient_attack(model, images, codes, budget)
 
 
 def noise_queries(images, epsilon, rng):

@@ -160,11 +160,13 @@ def load_npz(path, keys):
     """The named arrays of an npz archive, in ``keys`` order; unreadable is corrupt."""
     name = Path(path).name
     try:
-        blob = np.load(path)
-        if not isinstance(blob, np.lib.npyio.NpzFile):
-            raise ValueError("not an npz archive")
-        with blob:
-            arrays = tuple(blob[key] for key in keys)
+        # our handle, so it closes even when numpy fails after opening the archive
+        with open(path, "rb") as handle:
+            blob = np.load(handle)
+            if not isinstance(blob, np.lib.npyio.NpzFile):
+                raise ValueError("not an npz archive")
+            with blob:
+                arrays = tuple(blob[key] for key in keys)
     except FileNotFoundError as err:
         raise CheckpointMissingError(f"missing {name}") from err
     # zipfile raises RuntimeError for encrypted or unsupported-method members

@@ -26,7 +26,6 @@ class EvalReport:
     pr_curve: list = field(default_factory=list)
     precision_at_n: list = field(default_factory=list)
     perceptibility: float = None
-    mean_generation_time: float = None
     queries_without_relevant: int = 0
 
 
@@ -147,7 +146,7 @@ def mean_perceptibility(images, perturbed):
 
 
 def evaluate_queries(query_codes, relevance_labels, code_matrix, db_labels,
-                     true_labels=None, originals=None, perturbed=None, times=None):
+                     true_labels=None, originals=None, perturbed=None):
     """Full report for one query set; optional blocks fill the extra fields."""
     order = rank_database(query_codes, code_matrix)
     ranked = _ranked_relevance(order, relevance_labels, db_labels)
@@ -162,6 +161,4 @@ def evaluate_queries(query_codes, relevance_labels, code_matrix, db_labels,
         report.map = _mean_ap(_ranked_relevance(order, true_labels, db_labels))
     if originals is not None and perturbed is not None:
         report.perceptibility = mean_perceptibility(originals, perturbed)
-    if times is not None:
-        report.mean_generation_time = float(np.mean(times))
     return report

@@ -8,6 +8,7 @@ Wall-clock numbers never enter report files; they live in
 ``timings.json`` so reports from equal seeds match byte for byte.
 """
 
+import functools
 import json
 import time
 from pathlib import Path
@@ -22,7 +23,7 @@ from .checkpoint import (
     save_hash_model,
 )
 from .data import gen_synthetic_dataset, load_bundle, load_npz, save_bundle, unique_labels
-from .errors import CheckpointMissingError, InputError
+from .errors import CheckpointMismatchError, CheckpointMissingError, InputError
 from .evaluation import evaluate_queries, t_map
 from .gan import _pick_targets, targeted_examples, train_attack_gan
 from .hashing import encode_database, train_target_model
@@ -40,17 +41,6 @@ STAGE_STREAMS = {
     "transfer": 7,
     "anchor": 8,
 }
-
-METHOD_SLUGS = {
-    "Original": "original",
-    "Noise": "noise",
-    "P2P": "p2p",
-    "DHTA": "dhta",
-    "ProS-GAN": "prosgan",
-    "Anchor-code": "anchor",
-    "Prototype-code": "prototype",
-}
-
 
 def stage_rng(seed, stream):
     if stream not in STAGE_STREAMS:
@@ -96,10 +86,24 @@ def _load_data(out):
     return load_bundle(_require(Path(out) / "dataset.npz", "gen-data"))
 
 
-def _load_hash(config, out):
+def _load_checkpoint(load, path, config, seed):
+    """A stage's upstream module, refused unless this run's config and seed made it."""
+    module, checkpoint = load(path, config_hash=config.config_hash())
+    if checkpoint.seed != seed:
+        raise CheckpointMismatchError(
+            f"{Path(path).name} was written under seed {checkpoint.seed}, not {seed}"
+        )
+    return module
+
+
+def _load_hash(config, seed, out):
     path = _require(Path(out) / "hash_model.json", "train-hash")
-    model, _ = load_hash_model(path, config_hash=config.config_hash())
-    return model
+    return _load_checkpoint(load_hash_model, path, config, seed)
+
+
+def _load_stack(config, seed, out):
+    path = _require(Path(out) / "attack_stack.json", "train-attack")
+    return _load_checkpoint(load_attack_stack, path, config, seed)
 
 
 def _load_codes(out):
@@ -112,15 +116,6 @@ def _load_examples(out, slug):
     return load_npz(path, ("originals", "perturbed", "target_labels"))
 
 
-def _save_examples(out, slug, originals, perturbed, target_labels):
-    np.savez(
-        Path(out) / f"adversarial_{slug}.npz",
-        originals=np.asarray(originals, dtype=np.float64),
-        perturbed=np.asarray(perturbed, dtype=np.float64),
-        target_labels=np.asarray(target_labels, dtype=np.float64),
-    )
-
-
 def eval_target_labels(config, seed, bundle):
     """The one shared draw of per-query attack targets for this run."""
     label_set = unique_labels(bundle.train_labels)
@@ -128,25 +123,7 @@ def eval_target_labels(config, seed, bundle):
                          label_set)
 
 
-def _record_generation(out, method, latencies, busy_seconds):
-    """Write a method's per-image latency and throughput to ``timings.json``.
-
-    ``generation_<method>_seconds`` is the mean over images of the time
-    from the start of the call that produced an image to its result, so a
-    batched method gives every image the latency of the whole batch.
-    ``throughput_<method>_images_per_second`` is the image count over the
-    seconds spent generating.
-    """
-    latency = float(np.mean(latencies))
-    update_timings(out, **{
-        f"generation_{method}_seconds": latency,
-        f"throughput_{method}_images_per_second": len(latencies) / busy_seconds,
-    })
-    return {"count": len(latencies), "mean_generation_seconds": latency}
-
-
 def stage_gen_data(config, seed, out):
-    config.validate()
     bundle = gen_synthetic_dataset(config.data_config(), stage_rng(seed, "data"))
     save_bundle(bundle, Path(out) / "dataset.npz")
     return {
@@ -158,7 +135,6 @@ def stage_gen_data(config, seed, out):
 
 
 def stage_train_hash(config, seed, out):
-    config.validate()
     bundle = _load_data(out)
     model, losses = train_target_model(bundle.train_images, bundle.train_labels,
                                        config.hash_config(),
@@ -172,18 +148,16 @@ def stage_train_hash(config, seed, out):
 
 
 def stage_encode_db(config, seed, out):
-    config.validate()
     bundle = _load_data(out)
-    model = _load_hash(config, out)
+    model = _load_hash(config, seed, out)
     matrix = encode_database(model, bundle.database_images)
     np.savez(Path(out) / "codes.npz", code_matrix=matrix)
     return {"items": int(matrix.shape[1]), "code_length": int(matrix.shape[0])}
 
 
 def stage_train_attack(config, seed, out):
-    config.validate()
     bundle = _load_data(out)
-    model = _load_hash(config, out)
+    model = _load_hash(config, seed, out)
     train_codes = encode_database(model, bundle.train_images)
     label_set = unique_labels(bundle.train_labels)
     stack, history = train_attack_gan(
@@ -199,51 +173,52 @@ def stage_train_attack(config, seed, out):
             "final_generator_loss": float(history[-1][2])}
 
 
-def stage_attack(config, seed, out):
-    config.validate()
-    bundle = _load_data(out)
-    path = _require(Path(out) / "attack_stack.json", "train-attack")
-    stack, _ = load_attack_stack(path, config_hash=config.config_hash())
-    targets = eval_target_labels(config, seed, bundle)
-    examples = targeted_examples(stack, bundle.query_images, targets)
-    _save_examples(out, "prosgan", bundle.query_images,
-                   [example.perturbed for example in examples], targets)
-    latencies = [example.generation_time for example in examples]
-    # the generator crafts one image at a time: busy for the sum of latencies
-    return _record_generation(out, "prosgan", latencies, sum(latencies))
+def stage_attack(config, seed, out, method):
+    """Craft one method's perturbed query block; save it and time its making.
 
-
-def stage_baseline(config, seed, out, method):
-    config.validate()
+    Every method attacks the query split toward the run's shared targets.
+    ``generation_<method>_seconds`` is the per-image latency: the time of
+    the one generating call, since a batched method finishes every image
+    together, except for the generator, which makes one image per step and
+    so takes the call time over the image count.  The throughput is the
+    image count over the call time.
+    """
     bundle = _load_data(out)
+    queries = bundle.query_images
     targets = eval_target_labels(config, seed, bundle)
-    if method == "noise":
-        started = time.perf_counter()
-        noisy = noise_queries(bundle.query_images, config.epsilon,
-                              stage_rng(seed, "noise"))
-        elapsed = time.perf_counter() - started
-        _save_examples(out, "noise", bundle.query_images, noisy, targets)
-        # one call perturbs the whole block: every image waits for all of it
-        return _record_generation(out, "noise", [elapsed] * noisy.shape[0], elapsed)
-    model = _load_hash(config, out)
-    matrix = _load_codes(out)
-    budget = config.budget()
-    if method == "p2p":
-        examples = p2p_attack(model, bundle.query_images, targets,
-                              bundle.database_labels, matrix, budget,
-                              stage_rng(seed, "p2p"))
-    elif method == "dhta":
-        examples = anchor_attack(model, bundle.query_images, targets,
-                                 bundle.database_labels, matrix, budget,
-                                 stage_rng(seed, "dhta"),
-                                 set_size=config.anchor_set_size)
+    if method == "prosgan":
+        stack = _load_stack(config, seed, out)
+        generate = functools.partial(targeted_examples, stack, queries, targets)
+    elif method == "noise":
+        generate = functools.partial(noise_queries, queries, config.epsilon,
+                                     stage_rng(seed, "noise"))
+    elif method in ("p2p", "dhta"):
+        model = _load_hash(config, seed, out)
+        matrix = _load_codes(out)
+        budget = config.budget()
+        if method == "p2p":
+            generate = functools.partial(p2p_attack, model, queries, targets,
+                                         bundle.database_labels, matrix, budget,
+                                         stage_rng(seed, "p2p"))
+        else:
+            generate = functools.partial(anchor_attack, model, queries, targets,
+                                         bundle.database_labels, matrix, budget,
+                                         stage_rng(seed, "dhta"),
+                                         set_size=config.anchor_set_size)
     else:
-        raise InputError(f"unknown baseline {method!r}")
-    _save_examples(out, method, bundle.query_images,
-                   [example.perturbed for example in examples], targets)
-    latencies = [example.generation_time for example in examples]
-    # one call attacks the whole query block: busy for one latency
-    return _record_generation(out, method, latencies, latencies[0])
+        raise InputError(f"unknown attack method {method!r}")
+    started = time.perf_counter()
+    perturbed = generate()
+    elapsed = time.perf_counter() - started
+    np.savez(Path(out) / f"adversarial_{method}.npz", originals=queries,
+             perturbed=perturbed, target_labels=targets)
+    count = queries.shape[0]
+    latency = elapsed / count if method == "prosgan" else elapsed
+    update_timings(out, **{
+        f"generation_{method}_seconds": latency,
+        f"throughput_{method}_images_per_second": count / elapsed,
+    })
+    return {"count": count, "mean_generation_seconds": latency}
 
 
 def _method_row(report):
@@ -257,10 +232,9 @@ def _method_row(report):
 
 def stage_eval(config, seed, out):
     """Score every available query set and write the run report."""
-    config.validate()
     out = Path(out)
     bundle = _load_data(out)
-    model = _load_hash(config, out)
+    model = _load_hash(config, seed, out)
     matrix = _load_codes(out)
     db_labels = bundle.database_labels
     targets = eval_target_labels(config, seed, bundle)
@@ -303,7 +277,7 @@ def stage_eval(config, seed, out):
 
     stack_path = out / "attack_stack.json"
     if stack_path.is_file():
-        stack, _ = load_attack_stack(stack_path, config_hash=config.config_hash())
+        stack = _load_stack(config, seed, out)
         proto_codes = np.stack([stack.prototype.prototype_code(target)
                                 for target in targets])
         methods["Prototype-code"] = evaluate_queries(proto_codes, targets,
@@ -326,7 +300,6 @@ def stage_eval(config, seed, out):
 
 def stage_transfer_eval(config, seed, out):
     """Train a second model and score the generator's output against it."""
-    config.validate()
     out = Path(out)
     bundle = _load_data(out)
     originals, perturbed, stored_targets = _load_examples(out, "prosgan")
@@ -358,10 +331,10 @@ _STAGE_TABLE = {
     "train_hash": stage_train_hash,
     "encode_db": stage_encode_db,
     "train_attack": stage_train_attack,
-    "attack": stage_attack,
-    "p2p": lambda config, seed, out: stage_baseline(config, seed, out, "p2p"),
-    "dhta": lambda config, seed, out: stage_baseline(config, seed, out, "dhta"),
-    "noise": lambda config, seed, out: stage_baseline(config, seed, out, "noise"),
+    "attack": functools.partial(stage_attack, method="prosgan"),
+    "p2p": functools.partial(stage_attack, method="p2p"),
+    "dhta": functools.partial(stage_attack, method="dhta"),
+    "noise": functools.partial(stage_attack, method="noise"),
     "eval": stage_eval,
     "transfer_eval": stage_transfer_eval,
 }
@@ -371,7 +344,11 @@ STAGE_ORDER = ("gen_data", "train_hash", "encode_db", "train_attack", "attack",
 
 
 def execute_stage(name, config, seed, out):
-    """Run one named stage, leaving a ``<stage>.partial`` marker on failure."""
+    """Validate the config and run one named stage.
+
+    A failure, an invalid config included, leaves a ``<stage>.partial``
+    marker.
+    """
     if name not in _STAGE_TABLE:
         raise InputError(f"unknown stage {name!r}")
     out = Path(out)
@@ -379,6 +356,7 @@ def execute_stage(name, config, seed, out):
     marker = out / f"{name}.partial"
     started = time.perf_counter()
     try:
+        config.validate()
         result = _STAGE_TABLE[name](config, seed, out)
     except BaseException as err:
         marker.write_text(f"{type(err).__name__}: {err}\n")

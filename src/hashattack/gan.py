@@ -12,7 +12,6 @@ loss), then the discriminator descends its mirror image.  The attacked
 hashing model stays frozen throughout.
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,14 +270,6 @@ class AttackStack(Module):
         }
 
 
-@dataclass
-class AdversarialExample:
-    original: np.ndarray
-    perturbed: np.ndarray
-    target_label: np.ndarray
-    generation_time: float
-
-
 def _pick_targets(rng, labels, label_set):
     """One target per image, uniform over the label set minus the own label."""
     choices = []
@@ -417,7 +408,7 @@ def train_attack_gan(images, labels, label_set, hash_model, code_matrix, config,
 
 
 def targeted_examples(stack, images, target_labels):
-    """Craft one adversarial example per (image, target label) row pair."""
+    """The (count, pixels) perturbed block, one generator step per row pair."""
     images = np.asarray(images, dtype=np.float64)
     target_labels = np.asarray(target_labels, dtype=np.float64)
     if images.shape[0] != target_labels.shape[0]:
@@ -425,16 +416,10 @@ def targeted_examples(stack, images, target_labels):
             f"need one target per image, got {images.shape[0]} images and "
             f"{target_labels.shape[0]} targets"
         )
-    examples = []
-    for image, target in zip(images, target_labels):
-        start = time.perf_counter()
+    # row by row on purpose: a batched forward sums in another order and
+    # would change the crafted bytes
+    perturbed = np.empty_like(images)
+    for row, (image, target) in enumerate(zip(images, target_labels)):
         rep = stack.prototype.forward(target.reshape(1, -1)).representation
-        perturbed = stack.generator.forward(image.reshape(1, -1), rep).values
-        elapsed = time.perf_counter() - start
-        examples.append(AdversarialExample(
-            original=image.copy(),
-            perturbed=perturbed[0],
-            target_label=target.copy(),
-            generation_time=elapsed,
-        ))
-    return examples
+        perturbed[row] = stack.generator.forward(image.reshape(1, -1), rep).values[0]
+    return perturbed

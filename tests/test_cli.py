@@ -118,3 +118,14 @@ def test_defaults_apply_without_config_flag(tmp_path, capsys):
     assert main(["gen-data", "--seed", "3", "--out", str(tmp_path / "d")]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["train"] == 500
+
+
+def test_checkpoint_from_another_seed_exits_two(tmp_path, capsys):
+    config = _config_file(tmp_path)
+    for command in (["gen-data"], ["train-hash"], ["encode-db"], ["train-attack"]):
+        assert _run(command, tmp_path, config=config) == 0, command
+    capsys.readouterr()
+    for command in (["encode-db"], ["train-attack"], ["attack"], ["baseline", "p2p"],
+                    ["eval"]):
+        assert _run(command, tmp_path, seed="5", config=config) == 2, command
+        assert "written under seed 4, not 5" in capsys.readouterr().err, command

@@ -193,14 +193,13 @@ def test_evaluate_queries_full_report(rng):
     report = evaluate_queries(
         codes, labels, matrix, db_labels,
         true_labels=np.array([[0.0, 1.0]]),
-        originals=originals, perturbed=perturbed, times=[0.5, 1.5],
+        originals=originals, perturbed=perturbed,
     )
     assert report.t_map == pytest.approx(5.0 / 6.0)
     assert report.map == pytest.approx(average_precision([0, 1, 0, 1]))
     assert len(report.pr_curve) == 4
     assert report.precision_at_n[0][0] == 1
     assert report.perceptibility is not None
-    assert report.mean_generation_time == pytest.approx(1.0)
     assert report.queries_without_relevant == 0
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import tempfile
+import time
 import zipfile
 from pathlib import Path
 
@@ -155,24 +156,68 @@ def test_eval_without_optional_artifacts(tiny_config, tmp_path):
     assert set(report["methods"]) == {"Original", "Anchor-code"}
 
 
-def test_timings_give_per_image_latency_and_throughput(tiny_config, tmp_path):
-    for name in ("gen_data", "train_hash", "encode_db", "train_attack", "attack",
-                 "p2p", "dhta", "noise"):
+# the generating function each attack stage calls, by method
+_GENERATORS = {"prosgan": "targeted_examples", "p2p": "p2p_attack",
+               "dhta": "anchor_attack", "noise": "noise_queries"}
+_ATTACK_STAGES = {"prosgan": "attack", "p2p": "p2p", "dhta": "dhta", "noise": "noise"}
+_UPSTREAM = ("gen_data", "train_hash", "encode_db", "train_attack")
+
+
+def test_timings_give_per_image_latency_and_throughput(tiny_config, tmp_path,
+                                                        monkeypatch):
+    call_seconds = {}
+
+    def timed(method, generate):
+        def spy(*args, **kwargs):
+            started = time.perf_counter()
+            result = generate(*args, **kwargs)
+            call_seconds[method] = time.perf_counter() - started
+            return result
+        return spy
+
+    for method, name in _GENERATORS.items():
+        monkeypatch.setattr(experiment, name, timed(method, getattr(experiment, name)))
+    for name in _UPSTREAM + tuple(_ATTACK_STAGES.values()):
         experiment.execute_stage(name, tiny_config, 6, tmp_path)
     timings = json.loads((tmp_path / "timings.json").read_text())
     count = tiny_config.query_size
-    for method, stage in (("prosgan", "attack"), ("p2p", "p2p"), ("dhta", "dhta"),
-                          ("noise", "noise")):
+    for method, stage in _ATTACK_STAGES.items():
         latency = timings[f"generation_{method}_seconds"]
         throughput = timings[f"throughput_{method}_images_per_second"]
         # no image can take longer than the stage that produced it
         assert 0.0 < latency <= timings[f"{stage}_seconds"], method
         if method == "prosgan":
-            # one image at a time: throughput is the inverse latency
+            # one image at a time: throughput is the inverse latency, and
+            # the images share the one call's time
             assert throughput * latency == pytest.approx(1.0), method
+            assert latency * count >= call_seconds[method], method
         else:
-            # one call for the whole block: every image waits for all of it
+            # one call for the whole block: every image waits for all of
+            # it, so the latency is the whole call, not the call per row
             assert throughput * latency == pytest.approx(count), method
+            assert latency >= call_seconds[method], method
+
+
+def test_attack_stages_store_queries_and_shared_targets(tiny_config, tmp_path):
+    for name in _UPSTREAM + tuple(_ATTACK_STAGES.values()):
+        experiment.execute_stage(name, tiny_config, 6, tmp_path)
+    bundle = load_bundle(tmp_path / "dataset.npz")
+    targets = experiment.eval_target_labels(tiny_config, 6, bundle)
+    for method in _ATTACK_STAGES:
+        originals, perturbed, stored_targets = experiment._load_examples(tmp_path, method)
+        assert np.array_equal(originals, bundle.query_images), method
+        assert np.array_equal(stored_targets, targets), method
+        assert perturbed.shape == bundle.query_images.shape, method
+        assert not np.array_equal(perturbed, originals), method
+
+
+@pytest.mark.parametrize("stage", experiment.STAGE_ORDER)
+def test_invalid_config_is_refused_before_the_stage_runs(tiny_config, tmp_path, stage):
+    invalid = dataclasses.replace(tiny_config, classes=1)
+    with pytest.raises(InputError):
+        experiment.execute_stage(stage, invalid, 5, tmp_path)
+    assert [path.name for path in tmp_path.iterdir()] == [f"{stage}.partial"]
+    assert "InputError" in (tmp_path / f"{stage}.partial").read_text()
 
 
 def _npz_bytes(**arrays):
