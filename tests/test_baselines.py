@@ -1,11 +1,13 @@
 """Target-code selection and bounded signed-gradient attack tests."""
 
 import itertools
+import json
+import time
 
 import numpy as np
 import pytest
 
-from hashattack import baselines
+from hashattack import baselines, experiment
 from hashattack import tensor as T
 from hashattack.baselines import (
     AttackBudget,
@@ -234,6 +236,38 @@ def test_other_rows_never_change_a_rows_result(rng):
         other_targets[1:] = _codes(rng, 4)
         again = iterative_gradient_attack(model, others, other_targets, budget)
         assert np.array_equal(again[0], first[0])
+
+
+def test_every_example_of_a_call_carries_the_call_latency(tiny_config, tmp_path,
+                                                           monkeypatch):
+    # the attack returns a bare block; the stage that calls it records the
+    # one latency that every row of the block shares
+    walls = []
+    real = baselines.iterative_gradient_attack
+
+    def timed(*args, **kwargs):
+        started = time.perf_counter()
+        result = real(*args, **kwargs)
+        walls.append(time.perf_counter() - started)
+        return result
+
+    monkeypatch.setattr(baselines, "iterative_gradient_attack", timed)
+    for name in ("gen_data", "train_hash", "encode_db"):
+        experiment.execute_stage(name, tiny_config, 4, tmp_path)
+    count = tiny_config.query_size
+    for method in ("p2p", "dhta"):
+        walls.clear()
+        experiment.execute_stage(method, tiny_config, 4, tmp_path)
+        with np.load(tmp_path / f"adversarial_{method}.npz") as saved:
+            assert saved["perturbed"].shape[0] == count
+        # one attack call made every example of the block
+        assert len(walls) == 1
+        timings = json.loads((tmp_path / "timings.json").read_text())
+        latency = timings[f"generation_{method}_seconds"]
+        throughput = timings[f"throughput_{method}_images_per_second"]
+        # the latency of the whole call, not the call divided by the row count
+        assert walls[0] <= latency <= timings[f"{method}_seconds"]
+        assert throughput * latency == pytest.approx(count)
 
 
 def _trained_toy_model():
