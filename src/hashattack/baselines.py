@@ -7,8 +7,6 @@ signed-gradient descent on the normalized code-alignment loss, so the
 generator and the baselines optimize the identical objective.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
@@ -16,27 +14,6 @@ from .data import build_similarity_matrix
 from .errors import DimensionError, InputError, TargetUnsatisfiableError
 from .gan import loss_hamming
 from .hashing import binarize
-
-
-@dataclass(frozen=True)
-class AttackBudget:
-    epsilon: float = 8.0 / 255.0
-    step_size: float = 1.0 / 255.0
-    iterations: int = 200
-
-    def validate(self):
-        if self.iterations < 1:
-            raise InputError(f"iterations must be at least 1, got {self.iterations}")
-        if self.step_size <= 0.0:
-            raise InputError(f"step size must be positive, got {self.step_size}")
-        if self.epsilon < 0.0:
-            raise InputError(f"epsilon must be non-negative, got {self.epsilon}")
-        # epsilon 0 is the degenerate no-perturbation budget; otherwise
-        # a single step must stay inside the ball
-        if self.epsilon > 0.0 and self.step_size > self.epsilon:
-            raise InputError(
-                f"step size {self.step_size} exceeds epsilon {self.epsilon}"
-            )
 
 
 def _matching_indices(target_label, db_labels):
@@ -69,7 +46,7 @@ def anchor_code(codes):
     return binarize(codes.sum(axis=0))
 
 
-def anchor_code_for_label(target_label, db_labels, code_matrix, rng, set_size=9):
+def anchor_code_for_label(target_label, db_labels, code_matrix, rng, set_size):
     """Anchor code over a sample of target-labeled database items."""
     if set_size < 1:
         raise InputError(f"anchor set size must be positive, got {set_size}")
@@ -83,7 +60,7 @@ def anchor_code_for_label(target_label, db_labels, code_matrix, rng, set_size=9)
     return anchor_code(code_matrix[:, chosen].T)
 
 
-def iterative_gradient_attack(model, images, target_codes, budget):
+def iterative_gradient_attack(model, images, target_codes, config):
     """Signed-gradient descent on the code-alignment loss within an L-inf ball.
 
     Attacks a (count, pixels) block toward a (count, K) code block on one
@@ -91,9 +68,10 @@ def iterative_gradient_attack(model, images, target_codes, budget):
     batch sum, so each row's gradient is that row's own one-row gradient
     and rows never affect each other.  Every iteration steps against the
     gradient sign, then projects onto the epsilon ball around the
-    original images and the [0,1] pixel box.
+    original images and the [0,1] pixel box.  ``config`` gives the
+    ``epsilon``, ``step_size`` and ``iterations`` budget.
     """
-    budget.validate()
+    config.validate()
     images = np.asarray(images, dtype=np.float64)
     target_codes = np.asarray(target_codes, dtype=np.float64)
     if images.ndim != 2:
@@ -103,30 +81,30 @@ def iterative_gradient_attack(model, images, target_codes, budget):
             f"need {images.shape[0]} target codes of length {model.code_length}, "
             f"got {target_codes.shape}"
         )
-    low = np.clip(images - budget.epsilon, 0.0, 1.0)
-    high = np.clip(images + budget.epsilon, 0.0, 1.0)
+    low = np.clip(images - config.epsilon, 0.0, 1.0)
+    high = np.clip(images + config.epsilon, 0.0, 1.0)
     perturbed = images.copy()
-    for _ in range(budget.iterations):
+    for _ in range(config.iterations):
         tape = T.Tape()
         current = tape.watch(T.Tensor(perturbed))
         objective = loss_hamming(target_codes, model.forward(current))
         gradient = T.backward(tape, objective).wrt(current)
-        perturbed = np.clip(perturbed - budget.step_size * np.sign(gradient), low, high)
+        perturbed = np.clip(perturbed - config.step_size * np.sign(gradient), low, high)
     return perturbed
 
 
-def p2p_attack(model, images, target_labels, db_labels, code_matrix, budget, rng):
+def p2p_attack(model, images, target_labels, db_labels, code_matrix, config, rng):
     """Random-target-code attacks on every (image, target label) row pair."""
     codes = [p2p_target_code(target, db_labels, code_matrix, rng) for target in target_labels]
-    return iterative_gradient_attack(model, images, codes, budget)
+    return iterative_gradient_attack(model, images, codes, config)
 
 
-def anchor_attack(model, images, target_labels, db_labels, code_matrix, budget, rng,
-                  set_size=9):
-    """Anchor-code attacks on every (image, target label) row pair."""
-    codes = [anchor_code_for_label(target, db_labels, code_matrix, rng, set_size)
+def anchor_attack(model, images, target_labels, db_labels, code_matrix, config, rng):
+    """Anchor-code attacks over ``config.anchor_set_size`` items per row pair."""
+    codes = [anchor_code_for_label(target, db_labels, code_matrix, rng,
+                                   config.anchor_set_size)
              for target in target_labels]
-    return iterative_gradient_attack(model, images, codes, budget)
+    return iterative_gradient_attack(model, images, codes, config)
 
 
 def noise_queries(images, epsilon, rng):

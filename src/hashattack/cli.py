@@ -20,6 +20,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _seed(text):
+    """A run seed, which numpy's seed sequence needs non-negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"seed must be a non-negative integer, got {text!r}"
+        )
+    return value
+
+
 def build_parser():
     parser = _Parser(
         prog="hashattack",
@@ -34,7 +47,7 @@ def build_parser():
         command.add_argument("--config", metavar="PATH",
                              help="key = value configuration file "
                                   "(defaults apply when omitted)")
-        command.add_argument("--seed", metavar="INT", type=int, required=True,
+        command.add_argument("--seed", metavar="INT", type=_seed, required=True,
                              help="run seed; equal seeds reproduce results")
         command.add_argument("--out", metavar="DIR", required=True,
                              help="shared output directory for all stages")
@@ -55,17 +68,6 @@ def build_parser():
     return parser
 
 
-_COMMAND_STAGES = {
-    "gen-data": "gen_data",
-    "train-hash": "train_hash",
-    "encode-db": "encode_db",
-    "train-attack": "train_attack",
-    "attack": "attack",
-    "eval": "eval",
-    "transfer-eval": "transfer_eval",
-}
-
-
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -78,10 +80,11 @@ def main(argv=None):
     except InputError as err:
         print(f"hashattack: error: {err}", file=sys.stderr)
         return 1
+    # each command names its stage, and ``baseline`` names it as the method
     if args.command == "baseline":
         stage = args.method
     else:
-        stage = _COMMAND_STAGES[args.command]
+        stage = args.command.replace("-", "_")
     try:
         result = experiment.execute_stage(stage, config, args.seed, args.out)
     except Exception as err:

@@ -1,6 +1,7 @@
 """Flat ``key = value`` experiment configuration.
 
-One file drives every pipeline stage.  Serialization is canonical
+One config drives every pipeline stage and every library entry that
+takes one, and ``validate`` is its only check.  Serialization is canonical
 (fixed field order, repr floats, comma-joined width tuples), so the
 hash of the text identifies the configuration and checkpoints can
 refuse to load under a different one.
@@ -11,11 +12,7 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .baselines import AttackBudget
-from .data import DataConfig
-from .errors import ConfigError
-from .gan import GanConfig
-from .hashing import HashTrainConfig
+from .errors import ConfigError, InputError
 
 
 @dataclass(frozen=True)
@@ -106,82 +103,54 @@ class ExperimentConfig:
     def config_hash(self):
         return hashlib.sha256(self.to_text().encode()).hexdigest()
 
-    # stage-level views
-    def data_config(self):
-        return DataConfig(
-            classes=self.classes,
-            height=self.image_height,
-            width=self.image_width,
-            channels=self.image_channels,
-            train_size=self.train_size,
-            database_size=self.database_size,
-            query_size=self.query_size,
-            noise_sigma=self.noise_sigma,
-            extra_class_probability=self.extra_class_probability,
-            template_contrast=self.template_contrast,
-        )
-
-    def hash_config(self):
-        return HashTrainConfig(
-            code_length=self.code_length,
-            hidden_widths=self.hash_hidden_widths,
-            epochs=self.hash_epochs,
-            batch_size=self.hash_batch_size,
-            learning_rate=self.hash_learning_rate,
-            quantization_weight=self.quantization_weight,
-        )
-
-    def transfer_hash_config(self):
-        return HashTrainConfig(
-            code_length=self.transfer_code_length,
-            hidden_widths=self.transfer_hidden_widths,
-            epochs=self.hash_epochs,
-            batch_size=self.hash_batch_size,
-            learning_rate=self.hash_learning_rate,
-            quantization_weight=self.quantization_weight,
-        )
-
-    def gan_config(self):
-        return GanConfig(
-            epochs=self.attack_epochs,
-            batch_size=self.attack_batch_size,
-            learning_rate=self.attack_learning_rate,
-            discriminator_learning_rate=self.discriminator_learning_rate,
-            alpha1=self.alpha1,
-            alpha2=self.alpha2,
-            alpha3=self.alpha3,
-            reconstruction_weight=self.reconstruction_weight,
-            adversarial_weight=self.adversarial_weight,
-            prototype_hidden=self.prototype_hidden_widths,
-            representation_width=self.representation_width,
-            decoder_hidden=self.decoder_hidden,
-            generator_bottleneck=self.generator_bottleneck,
-            discriminator_hidden=self.discriminator_hidden_widths,
-            disable_hamming_loss=self.disable_hamming_loss,
-            disable_discriminator_classes=self.disable_discriminator_classes,
-        )
-
-    def budget(self):
-        return AttackBudget(
-            epsilon=self.epsilon,
-            step_size=self.step_size,
-            iterations=self.iterations,
-        )
-
     def validate(self):
+        """The one check of every value; stages and library entries rely on it."""
         for spec in fields(self):
             value = getattr(self, spec.name)
             if spec.type is float and not math.isfinite(value):
                 raise ConfigError(f"{spec.name} must be finite, got {value!r}")
-        self.data_config().validate()
-        self.hash_config().validate()
-        self.transfer_hash_config().validate()
-        self.gan_config().validate()
-        self.budget().validate()
+        for names, holds, requirement in _RULES:
+            for name in names:
+                value = getattr(self, name)
+                if not holds(value):
+                    raise InputError(f"{name} must be {requirement}, got {value!r}")
+        for name in _WIDTH_LISTS:
+            widths = getattr(self, name)
+            if any(width < 1 for width in widths):
+                raise InputError(f"{name}: widths must be positive, got {widths}")
+        # epsilon 0 is the degenerate no-perturbation budget; otherwise
+        # a single step must stay inside the ball
+        if self.epsilon > 0.0 and self.step_size > self.epsilon:
+            raise InputError(
+                f"step_size {self.step_size!r} exceeds epsilon {self.epsilon!r}"
+            )
         if self.anchor_set_size < 1:
             raise ConfigError(
-                f"anchor set size must be positive, got {self.anchor_set_size}"
+                f"anchor_set_size must be positive, got {self.anchor_set_size}"
             )
+
+
+# (fields, test each value passes, requirement named in the error)
+_RULES = (
+    (("classes",), lambda v: v >= 2, "at least 2"),
+    (("image_height", "image_width", "image_channels", "train_size",
+      "database_size", "query_size", "code_length", "transfer_code_length",
+      "hash_epochs", "attack_epochs", "attack_batch_size", "representation_width",
+      "decoder_hidden", "generator_bottleneck", "iterations"),
+     lambda v: v >= 1, "positive"),
+    (("hash_batch_size",), lambda v: v >= 2, "at least 2 for pairwise training"),
+    (("hash_learning_rate", "attack_learning_rate", "discriminator_learning_rate",
+      "step_size"),
+     lambda v: v > 0.0, "positive"),
+    (("noise_sigma", "quantization_weight", "alpha1", "alpha2", "alpha3",
+      "reconstruction_weight", "adversarial_weight", "epsilon"),
+     lambda v: v >= 0.0, "non-negative"),
+    (("extra_class_probability",), lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    (("template_contrast",), lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+)
+
+_WIDTH_LISTS = ("hash_hidden_widths", "transfer_hidden_widths",
+                "prototype_hidden_widths", "discriminator_hidden_widths")
 
 
 def _format(kind, value):

@@ -10,51 +10,12 @@ are 0/1 indicator vectors.
 
 import zlib
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CheckpointCorruptError, CheckpointMissingError, DimensionError, InputError
-
-
-@dataclass(frozen=True)
-class DataConfig:
-    classes: int = 4
-    height: int = 16
-    width: int = 16
-    channels: int = 1
-    train_size: int = 500
-    database_size: int = 1000
-    query_size: int = 100
-    noise_sigma: float = 0.02
-    extra_class_probability: float = 0.3
-    template_contrast: float = 0.05
-
-    @property
-    def pixels(self):
-        return self.height * self.width * self.channels
-
-    def validate(self):
-        if self.classes < 2:
-            raise InputError(f"need at least 2 classes, got {self.classes}")
-        if min(self.height, self.width, self.channels) <= 0:
-            raise InputError(
-                f"image spec must be positive, got "
-                f"{(self.height, self.width, self.channels)}"
-            )
-        if min(self.train_size, self.database_size, self.query_size) <= 0:
-            raise InputError("all split sizes must be positive")
-        if self.noise_sigma < 0.0:
-            raise InputError(f"noise sigma must be non-negative, got {self.noise_sigma}")
-        if not 0.0 <= self.extra_class_probability <= 1.0:
-            raise InputError(
-                f"extra-class probability must lie in [0,1], got {self.extra_class_probability}"
-            )
-        if not 0.0 < self.template_contrast <= 1.0:
-            raise InputError(
-                f"template contrast must lie in (0,1], got {self.template_contrast}"
-            )
 
 
 @dataclass
@@ -69,7 +30,6 @@ class DatasetBundle:
     database_labels: np.ndarray
     query_images: np.ndarray
     query_labels: np.ndarray
-    config: DataConfig = field(default=None)
 
     @property
     def pixels(self):
@@ -99,11 +59,12 @@ def _render(rng, labels, templates, sigma):
 
 
 def gen_synthetic_dataset(config, seed):
-    """Deterministically build all three splits from one seed."""
+    """Deterministically build all three splits of ``config`` from one seed."""
     config.validate()
     rng = np.random.default_rng(seed)
+    image_spec = (config.image_height, config.image_width, config.image_channels)
     # pull independent patterns toward their mean so classes differ subtly
-    raw = rng.uniform(0.0, 1.0, size=(config.classes, config.pixels))
+    raw = rng.uniform(0.0, 1.0, size=(config.classes, int(np.prod(image_spec))))
     backdrop = raw.mean(axis=0)
     templates = np.clip(
         backdrop + config.template_contrast * (raw - backdrop), 0.0, 1.0
@@ -115,7 +76,7 @@ def gen_synthetic_dataset(config, seed):
         labels = _draw_labels(rng, count, config.classes, config.extra_class_probability)
         splits[name] = (_render(rng, labels, templates, config.noise_sigma), labels)
     return DatasetBundle(
-        image_spec=(config.height, config.width, config.channels),
+        image_spec=image_spec,
         class_templates=templates,
         train_images=splits["train"][0],
         train_labels=splits["train"][1],
@@ -123,7 +84,6 @@ def gen_synthetic_dataset(config, seed):
         database_labels=splits["database"][1],
         query_images=splits["query"][0],
         query_labels=splits["query"][1],
-        config=config,
     )
 
 

@@ -88,7 +88,11 @@ def _load_data(out):
 
 def _load_checkpoint(load, path, config, seed):
     """A stage's upstream module, refused unless this run's config and seed made it."""
-    module, checkpoint = load(path, config_hash=config.config_hash())
+    module, checkpoint = load(path)
+    if checkpoint.config_hash != config.config_hash():
+        raise CheckpointMismatchError(
+            f"{Path(path).name} was not written under this run's configuration"
+        )
     if checkpoint.seed != seed:
         raise CheckpointMismatchError(
             f"{Path(path).name} was written under seed {checkpoint.seed}, not {seed}"
@@ -124,7 +128,7 @@ def eval_target_labels(config, seed, bundle):
 
 
 def stage_gen_data(config, seed, out):
-    bundle = gen_synthetic_dataset(config.data_config(), stage_rng(seed, "data"))
+    bundle = gen_synthetic_dataset(config, stage_rng(seed, "data"))
     save_bundle(bundle, Path(out) / "dataset.npz")
     return {
         "train": int(bundle.train_images.shape[0]),
@@ -137,8 +141,8 @@ def stage_gen_data(config, seed, out):
 def stage_train_hash(config, seed, out):
     bundle = _load_data(out)
     model, losses = train_target_model(bundle.train_images, bundle.train_labels,
-                                       config.hash_config(),
-                                       stage_rng(seed, "hash"))
+                                       config.code_length, config.hash_hidden_widths,
+                                       config, stage_rng(seed, "hash"))
     save_hash_model(Path(out) / "hash_model.json", model, seed=seed,
                     config_hash=config.config_hash(),
                     meta={"final_loss": losses[-1]})
@@ -162,7 +166,7 @@ def stage_train_attack(config, seed, out):
     label_set = unique_labels(bundle.train_labels)
     stack, history = train_attack_gan(
         bundle.train_images, bundle.train_labels, label_set, model,
-        train_codes, config.gan_config(), stage_rng(seed, "attack"),
+        train_codes, config, stage_rng(seed, "attack"),
     )
     save_attack_stack(Path(out) / "attack_stack.json", stack, seed=seed,
                       config_hash=config.config_hash(),
@@ -195,16 +199,10 @@ def stage_attack(config, seed, out, method):
     elif method in ("p2p", "dhta"):
         model = _load_hash(config, seed, out)
         matrix = _load_codes(out)
-        budget = config.budget()
-        if method == "p2p":
-            generate = functools.partial(p2p_attack, model, queries, targets,
-                                         bundle.database_labels, matrix, budget,
-                                         stage_rng(seed, "p2p"))
-        else:
-            generate = functools.partial(anchor_attack, model, queries, targets,
-                                         bundle.database_labels, matrix, budget,
-                                         stage_rng(seed, "dhta"),
-                                         set_size=config.anchor_set_size)
+        attack = p2p_attack if method == "p2p" else anchor_attack
+        generate = functools.partial(attack, model, queries, targets,
+                                     bundle.database_labels, matrix, config,
+                                     stage_rng(seed, method))
     else:
         raise InputError(f"unknown attack method {method!r}")
     started = time.perf_counter()
@@ -305,8 +303,9 @@ def stage_transfer_eval(config, seed, out):
     originals, perturbed, stored_targets = _load_examples(out, "prosgan")
     model_b, losses = train_target_model(bundle.train_images,
                                          bundle.train_labels,
-                                         config.transfer_hash_config(),
-                                         stage_rng(seed, "transfer"))
+                                         config.transfer_code_length,
+                                         config.transfer_hidden_widths,
+                                         config, stage_rng(seed, "transfer"))
     save_hash_model(out / "transfer_model.json", model_b, seed=seed,
                     config_hash=config.config_hash(),
                     meta={"final_loss": losses[-1]})
@@ -339,8 +338,7 @@ _STAGE_TABLE = {
     "transfer_eval": stage_transfer_eval,
 }
 
-STAGE_ORDER = ("gen_data", "train_hash", "encode_db", "train_attack", "attack",
-               "p2p", "dhta", "noise", "eval", "transfer_eval")
+STAGE_ORDER = tuple(_STAGE_TABLE)
 
 
 def execute_stage(name, config, seed, out):

@@ -30,45 +30,6 @@ from .optim import Adam
 from .prototype import PrototypeNet, loss_prototype
 
 
-@dataclass(frozen=True)
-class GanConfig:
-    epochs: int = 40
-    batch_size: int = 16
-    learning_rate: float = 1e-4
-    discriminator_learning_rate: float = 3e-3
-    alpha1: float = 1.0
-    alpha2: float = 1e-4
-    alpha3: float = 1.0
-    reconstruction_weight: float = 50.0
-    adversarial_weight: float = 1.0
-    prototype_hidden: tuple = (64, 32)
-    representation_width: int = 32
-    decoder_hidden: int = 128
-    generator_bottleneck: int = 128
-    discriminator_hidden: tuple = (64,)
-    disable_hamming_loss: bool = False
-    disable_discriminator_classes: bool = False
-
-    def validate(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise InputError(
-                f"epochs and batch size must be positive, got {self.epochs} and {self.batch_size}"
-            )
-        if self.learning_rate <= 0.0:
-            raise InputError(f"learning rate must be positive, got {self.learning_rate}")
-        if self.discriminator_learning_rate <= 0.0:
-            raise InputError(
-                f"discriminator learning rate must be positive, got {self.discriminator_learning_rate}"
-            )
-        for name in ("alpha1", "alpha2", "alpha3", "reconstruction_weight", "adversarial_weight"):
-            if getattr(self, name) < 0.0:
-                raise InputError(f"{name} must be non-negative, got {getattr(self, name)}")
-        widths = (self.representation_width, self.decoder_hidden, self.generator_bottleneck,
-                  *self.prototype_hidden, *self.discriminator_hidden)
-        if any(width < 1 for width in widths):
-            raise InputError(f"network widths must be positive, got {widths}")
-
-
 def augment_label(label, role):
     """Append the realness flag: 0 marks a real image, 1 a generated one."""
     label = np.asarray(label, dtype=np.float64)
@@ -348,7 +309,7 @@ def train_attack_gan(images, labels, label_set, hash_model, code_matrix, config,
     stack = AttackStack(
         prototype=PrototypeNet.create(
             rng, classes, hash_model.code_length,
-            hidden_widths=config.prototype_hidden,
+            hidden_widths=config.prototype_hidden_widths,
             representation_width=config.representation_width,
         ),
         generator=Generator.create(
@@ -357,21 +318,23 @@ def train_attack_gan(images, labels, label_set, hash_model, code_matrix, config,
             bottleneck=config.generator_bottleneck,
         ),
         discriminator=Discriminator.create(
-            rng, pixels, classes, hidden=config.discriminator_hidden,
+            rng, pixels, classes, hidden=config.discriminator_hidden_widths,
         ),
     )
-    opt_prototype = Adam(stack.prototype.parameters(), learning_rate=config.learning_rate)
-    opt_generator = Adam(stack.generator.parameters(), learning_rate=config.learning_rate)
+    opt_prototype = Adam(stack.prototype.parameters(),
+                         learning_rate=config.attack_learning_rate)
+    opt_generator = Adam(stack.generator.parameters(),
+                         learning_rate=config.attack_learning_rate)
     opt_discriminator = Adam(stack.discriminator.parameters(),
                              learning_rate=config.discriminator_learning_rate)
 
     count = images.shape[0]
     history = []
-    for epoch in range(config.epochs):
+    for epoch in range(config.attack_epochs):
         order = rng.permutation(count)
         epoch_rows = []
-        for batch_index, start in enumerate(range(0, count, config.batch_size)):
-            batch = order[start:start + config.batch_size]
+        for batch_index, start in enumerate(range(0, count, config.attack_batch_size)):
+            batch = order[start:start + config.attack_batch_size]
             targets = _pick_targets(rng, labels[batch], label_set)
 
             # three alternating updates, each on a fresh forward pass

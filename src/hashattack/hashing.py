@@ -6,8 +6,6 @@ minimizes the pairwise similarity log-likelihood over continuous codes
 plus a quantization penalty pulling them toward +/-1.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
@@ -41,34 +39,6 @@ def hamming_distances(query, code_matrix):
             f"need a code or (Q, K) block and a (K, N) matrix, got {query.shape} and {code_matrix.shape}"
         )
     return 0.5 * (query.shape[-1] - query @ code_matrix)
-
-
-@dataclass(frozen=True)
-class HashTrainConfig:
-    code_length: int = 12
-    hidden_widths: tuple = (128, 64)
-    epochs: int = 30
-    batch_size: int = 32
-    learning_rate: float = 1e-3
-    quantization_weight: float = 0.1
-
-    def validate(self):
-        if self.code_length <= 0:
-            raise InputError(f"code length must be positive, got {self.code_length}")
-        if any(width < 1 for width in self.hidden_widths):
-            raise InputError(f"hidden widths must be positive, got {self.hidden_widths}")
-        if self.epochs < 1:
-            raise InputError(f"epochs must be at least 1, got {self.epochs}")
-        if self.batch_size < 2:
-            raise InputError(
-                f"pairwise training needs batches of at least 2, got {self.batch_size}"
-            )
-        if self.learning_rate <= 0.0:
-            raise InputError(f"learning rate must be positive, got {self.learning_rate}")
-        if self.quantization_weight < 0.0:
-            raise InputError(
-                f"quantization weight must be non-negative, got {self.quantization_weight}"
-            )
 
 
 class HashModel(Module):
@@ -130,8 +100,13 @@ def pairwise_code_loss(continuous, similarity, quantization_weight):
     return T.add(pair_loss, T.scale(quant_loss, quantization_weight))
 
 
-def train_target_model(images, labels, config, rng):
-    """Fit the retrieval model; returns (model, per-epoch mean losses)."""
+def train_target_model(images, labels, code_length, hidden_widths, config, rng):
+    """Fit a retrieval model of the given shape; returns (model, per-epoch mean losses).
+
+    The shape is explicit because the attacked model and the transfer model
+    differ only in shape; the ``hash_*`` and ``quantization_weight`` fields
+    of ``config`` set the training.
+    """
     config.validate()
     images = np.asarray(images, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
@@ -145,15 +120,15 @@ def train_target_model(images, labels, config, rng):
         raise InputError("every training sample needs at least one class")
 
     rng = np.random.default_rng(rng)
-    model = HashModel.create(rng, images.shape[1], config.code_length, config.hidden_widths)
-    optimizer = Adam(model.parameters(), learning_rate=config.learning_rate)
+    model = HashModel.create(rng, images.shape[1], code_length, hidden_widths)
+    optimizer = Adam(model.parameters(), learning_rate=config.hash_learning_rate)
     history = []
     count = images.shape[0]
-    for epoch in range(config.epochs):
+    for epoch in range(config.hash_epochs):
         order = rng.permutation(count)
         epoch_losses = []
-        for start in range(0, count, config.batch_size):
-            batch = order[start:start + config.batch_size]
+        for start in range(0, count, config.hash_batch_size):
+            batch = order[start:start + config.hash_batch_size]
             if batch.shape[0] < 2:
                 continue
             tape = T.Tape()

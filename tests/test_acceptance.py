@@ -103,7 +103,7 @@ def gan_variants(pipeline):
     targets = eval_target_labels(config, SEED, bundle)
 
     def trained(**overrides):
-        gan_config = dataclasses.replace(config.gan_config(), **overrides)
+        gan_config = dataclasses.replace(config, **overrides)
         stack, _ = train_attack_gan(
             bundle.train_images, bundle.train_labels, label_set, model,
             train_codes, gan_config, stage_rng(SEED, "attack"),

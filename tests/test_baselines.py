@@ -10,7 +10,6 @@ import pytest
 from hashattack import baselines, experiment
 from hashattack import tensor as T
 from hashattack.baselines import (
-    AttackBudget,
     anchor_attack,
     anchor_code,
     anchor_code_for_label,
@@ -19,30 +18,16 @@ from hashattack.baselines import (
     p2p_attack,
     p2p_target_code,
 )
-from hashattack.data import DataConfig, gen_synthetic_dataset
+from hashattack.config import ExperimentConfig
+from hashattack.data import gen_synthetic_dataset
 from hashattack.errors import DimensionError, InputError, TargetUnsatisfiableError
 from hashattack.gan import loss_hamming
 from hashattack.hashing import (
     HashModel,
-    HashTrainConfig,
     binarize,
     hamming_distance,
     train_target_model,
 )
-
-
-def test_budget_validation():
-    AttackBudget().validate()
-    with pytest.raises(InputError):
-        AttackBudget(iterations=0).validate()
-    with pytest.raises(InputError):
-        AttackBudget(step_size=0.0).validate()
-    with pytest.raises(InputError):
-        AttackBudget(epsilon=-0.1).validate()
-    with pytest.raises(InputError):
-        AttackBudget(epsilon=0.01, step_size=0.02).validate()
-    # zero epsilon is the degenerate identity budget, any step is fine
-    AttackBudget(epsilon=0.0, step_size=0.5, iterations=3).validate()
 
 
 def test_anchor_code_majority_vote():
@@ -149,7 +134,7 @@ def test_anchor_for_label_covers_all_matches_when_set_is_larger(rng):
 def test_anchor_for_label_guards(rng):
     db_labels, code_matrix = _tiny_retrieval_setup()
     with pytest.raises(TargetUnsatisfiableError):
-        anchor_code_for_label(np.array([0.0, 0.0]), db_labels, code_matrix, rng)
+        anchor_code_for_label(np.array([0.0, 0.0]), db_labels, code_matrix, rng, 9)
     with pytest.raises(InputError):
         anchor_code_for_label(np.array([1.0, 0.0]), db_labels, code_matrix, rng,
                               set_size=0)
@@ -168,20 +153,20 @@ def test_zero_epsilon_attack_returns_the_input(rng):
     model = _small_model()
     image = rng.random((1, 10))
     target = _codes(rng, 1)
-    budget = AttackBudget(epsilon=0.0, step_size=0.1, iterations=5)
-    result = iterative_gradient_attack(model, image, target, budget)
+    config = ExperimentConfig(epsilon=0.0, step_size=0.1, iterations=5)
+    result = iterative_gradient_attack(model, image, target, config)
     assert np.array_equal(result, image)
 
 
 def test_attack_respects_ball_and_pixel_box(rng):
     model = _small_model(seed=3)
     for epsilon in (0.01, 0.1, 0.5):
-        budget = AttackBudget(epsilon=epsilon, step_size=epsilon / 4.0,
-                              iterations=12)
+        config = ExperimentConfig(epsilon=epsilon, step_size=epsilon / 4.0,
+                                  iterations=12)
         for _ in range(5):
             image = rng.random((1, 10))
             target = _codes(rng, 1)
-            result = iterative_gradient_attack(model, image, target, budget)
+            result = iterative_gradient_attack(model, image, target, config)
             assert np.max(np.abs(result - image)) <= epsilon + 1e-12
             assert np.all(result >= 0.0)
             assert np.all(result <= 1.0)
@@ -192,8 +177,8 @@ def test_single_iteration_takes_one_signed_step(rng):
     image = rng.random((1, 10))
     target = _codes(rng, 1)
     epsilon = 0.07
-    budget = AttackBudget(epsilon=epsilon, step_size=epsilon, iterations=1)
-    [result] = iterative_gradient_attack(model, image, target, budget)
+    config = ExperimentConfig(epsilon=epsilon, step_size=epsilon, iterations=1)
+    [result] = iterative_gradient_attack(model, image, target, config)
     tape = T.Tape()
     current = tape.watch(T.Tensor(image))
     objective = loss_hamming(target, model.forward(current))
@@ -208,33 +193,33 @@ def test_single_iteration_takes_one_signed_step(rng):
 
 def test_attack_shape_guards(rng):
     model = _small_model()
-    budget = AttackBudget()
+    config = ExperimentConfig()
     # one flat image is not a block
     with pytest.raises(DimensionError):
-        iterative_gradient_attack(model, rng.random(10), np.ones((1, 6)), budget)
+        iterative_gradient_attack(model, rng.random(10), np.ones((1, 6)), config)
     with pytest.raises(DimensionError):
-        iterative_gradient_attack(model, rng.random((2, 10)), np.ones(6), budget)
+        iterative_gradient_attack(model, rng.random((2, 10)), np.ones(6), config)
     # one code too few or too many
     for rows in (1, 3):
         with pytest.raises(DimensionError):
-            iterative_gradient_attack(model, rng.random((2, 10)), np.ones((rows, 6)), budget)
+            iterative_gradient_attack(model, rng.random((2, 10)), np.ones((rows, 6)), config)
     # codes of the wrong width
     with pytest.raises(DimensionError):
-        iterative_gradient_attack(model, rng.random((1, 10)), np.ones((1, 5)), budget)
+        iterative_gradient_attack(model, rng.random((1, 10)), np.ones((1, 5)), config)
 
 
 def test_other_rows_never_change_a_rows_result(rng):
     model = _small_model(seed=7)
     images = rng.random((5, 10))
     targets = _codes(rng, 5)
-    budget = AttackBudget(epsilon=0.2, step_size=0.05, iterations=15)
-    first = iterative_gradient_attack(model, images, targets, budget)
+    config = ExperimentConfig(epsilon=0.2, step_size=0.05, iterations=15)
+    first = iterative_gradient_attack(model, images, targets, config)
     for _ in range(3):
         others = images.copy()
         other_targets = targets.copy()
         others[1:] = rng.random((4, 10))
         other_targets[1:] = _codes(rng, 4)
-        again = iterative_gradient_attack(model, others, other_targets, budget)
+        again = iterative_gradient_attack(model, others, other_targets, config)
         assert np.array_equal(again[0], first[0])
 
 
@@ -271,13 +256,12 @@ def test_every_example_of_a_call_carries_the_call_latency(tiny_config, tmp_path,
 
 
 def _trained_toy_model():
-    config = DataConfig(classes=3, height=4, width=4, train_size=60,
-                        database_size=40, query_size=8, noise_sigma=0.05)
+    config = ExperimentConfig(classes=3, image_height=4, image_width=4, train_size=60,
+                              database_size=40, query_size=8, noise_sigma=0.05,
+                              hash_epochs=8, hash_batch_size=16, quantization_weight=0.1)
     bundle = gen_synthetic_dataset(config, seed=11)
-    train_config = HashTrainConfig(code_length=6, hidden_widths=(16,),
-                                   epochs=8, batch_size=16)
-    model, _ = train_target_model(bundle.train_images, bundle.train_labels,
-                                  train_config, np.random.default_rng(12))
+    model, _ = train_target_model(bundle.train_images, bundle.train_labels, 6, (16,),
+                                  config, np.random.default_rng(12))
     return model, bundle
 
 
@@ -287,14 +271,14 @@ def test_attack_reduces_code_alignment_loss():
     # aim at the code of an item with a different label
     target = binarize(model.continuous_codes(
         bundle.database_images[:1])[0]) * -1.0
-    budget = AttackBudget(epsilon=0.3, step_size=0.03, iterations=40)
+    config = ExperimentConfig(epsilon=0.3, step_size=0.03, iterations=40)
 
     def alignment(x):
         u = model.continuous_codes(x.reshape(1, -1))[0]
         return 1.0 - float(target @ u) / model.code_length
 
     [result] = iterative_gradient_attack(model, image.reshape(1, -1),
-                                         target.reshape(1, -1), budget)
+                                         target.reshape(1, -1), config)
     assert alignment(result) < alignment(image)
 
 
@@ -302,12 +286,12 @@ def test_block_attack_equals_one_row_attacks():
     model, bundle = _trained_toy_model()
     images = bundle.query_images
     targets = _codes(np.random.default_rng(6), images.shape[0])
-    budget = AttackBudget(epsilon=0.3, step_size=0.03, iterations=40)
-    block = iterative_gradient_attack(model, images, targets, budget)
+    config = ExperimentConfig(epsilon=0.3, step_size=0.03, iterations=40)
+    block = iterative_gradient_attack(model, images, targets, config)
     assert block.shape == images.shape
     for row in range(images.shape[0]):
         alone = iterative_gradient_attack(model, images[row:row + 1],
-                                          targets[row:row + 1], budget)
+                                          targets[row:row + 1], config)
         assert np.array_equal(block[row:row + 1], alone)
     # the attack moved the block, so the equality above is not vacuous
     assert not np.array_equal(block, images)
@@ -320,12 +304,12 @@ def test_p2p_and_anchor_agree_given_the_same_target_code():
     db_labels[0] = [0.0, 1.0, 0.0]  # exactly one item matches class 1
     code_matrix = model.codes(bundle.database_images[:3]).T
     targets = np.array([[0.0, 1.0, 0.0]])
-    budget = AttackBudget(epsilon=0.1, step_size=0.02, iterations=8)
+    config = ExperimentConfig(epsilon=0.1, step_size=0.02, iterations=8)
     images = bundle.query_images[:1]
-    first = p2p_attack(model, images, targets, db_labels, code_matrix, budget,
+    first = p2p_attack(model, images, targets, db_labels, code_matrix, config,
                        np.random.default_rng(0))
     second = anchor_attack(model, images, targets, db_labels, code_matrix,
-                           budget, np.random.default_rng(1))
+                           config, np.random.default_rng(1))
     assert np.array_equal(first, second)
 
 
@@ -334,9 +318,9 @@ def _spy_on_attack(monkeypatch):
     calls = []
     real = baselines.iterative_gradient_attack
 
-    def spy(model, images, target_codes, budget):
+    def spy(model, images, target_codes, config):
         calls.append(np.array(target_codes))
-        return real(model, images, target_codes, budget)
+        return real(model, images, target_codes, config)
 
     monkeypatch.setattr(baselines, "iterative_gradient_attack", spy)
     return calls
@@ -356,8 +340,8 @@ def test_p2p_draws_codes_like_sequential_calls(monkeypatch):
     expected = [p2p_target_code(t, db_labels, code_matrix, sequential) for t in targets]
     calls = _spy_on_attack(monkeypatch)
     rng = np.random.default_rng(31)
-    budget = AttackBudget(epsilon=0.1, step_size=0.05, iterations=2)
-    perturbed = p2p_attack(_small_model(), images, targets, db_labels, code_matrix, budget, rng)
+    config = ExperimentConfig(epsilon=0.1, step_size=0.05, iterations=2)
+    perturbed = p2p_attack(_small_model(), images, targets, db_labels, code_matrix, config, rng)
     assert len(calls) == 1 and np.array_equal(calls[0], np.stack(expected))
     assert rng.random() == sequential.random()
     assert perturbed.shape == images.shape
@@ -370,9 +354,9 @@ def test_anchor_attack_draws_codes_like_sequential_calls(monkeypatch):
                 for t in targets]
     calls = _spy_on_attack(monkeypatch)
     rng = np.random.default_rng(32)
-    budget = AttackBudget(epsilon=0.1, step_size=0.05, iterations=2)
+    config = ExperimentConfig(epsilon=0.1, step_size=0.05, iterations=2, anchor_set_size=3)
     perturbed = anchor_attack(_small_model(), images, targets, db_labels, code_matrix,
-                              budget, rng, set_size=3)
+                              config, rng)
     assert len(calls) == 1 and np.array_equal(calls[0], np.stack(expected))
     assert rng.random() == sequential.random()
     assert perturbed.shape == images.shape

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from hashattack.checkpoint import load_hash_model, save_hash_model
 from hashattack.cli import main
 from tests.conftest import TINY_RUN_KWARGS
 
@@ -29,6 +30,7 @@ def test_usage_errors_exit_one(tmp_path):
         ["unknown-command", "--seed", "1", "--out", str(tmp_path)],
         ["gen-data", "--out", str(tmp_path)],                   # no seed
         ["gen-data", "--seed", "x", "--out", str(tmp_path)],    # bad int
+        ["gen-data", "--seed", "-1", "--out", str(tmp_path / "neg")],  # negative
         ["gen-data", "--seed", "1"],                            # no out
         ["baseline", "--seed", "1", "--out", str(tmp_path)],    # no method
         ["baseline", "fgsm", "--seed", "1", "--out", str(tmp_path)],
@@ -36,6 +38,7 @@ def test_usage_errors_exit_one(tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1, argv
+    assert not (tmp_path / "neg").exists()
 
 
 def test_config_problems_exit_one(tmp_path, capsys):
@@ -129,3 +132,16 @@ def test_checkpoint_from_another_seed_exits_two(tmp_path, capsys):
                     ["eval"]):
         assert _run(command, tmp_path, seed="5", config=config) == 2, command
         assert "written under seed 4, not 5" in capsys.readouterr().err, command
+
+
+def test_checkpoint_without_a_config_hash_exits_two(tmp_path, capsys):
+    config = _config_file(tmp_path)
+    for command in (["gen-data"], ["train-hash"]):
+        assert _run(command, tmp_path, config=config) == 0, command
+    # the same network saved under the run's seed but with no stored config hash
+    path = tmp_path / "run" / "hash_model.json"
+    model, checkpoint = load_hash_model(path)
+    save_hash_model(path, model, seed=checkpoint.seed)
+    capsys.readouterr()
+    assert _run(["encode-db"], tmp_path, config=config) == 2
+    assert "not written under this run's configuration" in capsys.readouterr().err

@@ -8,12 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hashattack.baselines import AttackBudget
 from hashattack.config import ExperimentConfig
-from hashattack.data import DataConfig
 from hashattack.errors import ConfigError, InputError
-from hashattack.gan import GanConfig
-from hashattack.hashing import HashTrainConfig
 
 
 def test_defaults_round_trip_and_validate():
@@ -77,39 +73,65 @@ def test_file_round_trip(tmp_path):
         ExperimentConfig.from_file(tmp_path / "missing.cfg")
 
 
-def test_stage_views_carry_the_right_fields():
-    config = ExperimentConfig(
-        classes=3, image_height=8, image_width=8, noise_sigma=0.02,
-        code_length=10, hash_hidden_widths=(20,), attack_epochs=7,
-        reconstruction_weight=12.5, epsilon=0.2, step_size=0.01,
-        iterations=50, transfer_code_length=6, transfer_hidden_widths=(24,),
-    )
-    data = config.data_config()
-    assert isinstance(data, DataConfig)
-    assert (data.classes, data.height, data.noise_sigma) == (3, 8, 0.02)
-    hashing = config.hash_config()
-    assert isinstance(hashing, HashTrainConfig)
-    assert (hashing.code_length, hashing.hidden_widths) == (10, (20,))
-    transfer = config.transfer_hash_config()
-    assert (transfer.code_length, transfer.hidden_widths) == (6, (24,))
-    assert transfer.epochs == hashing.epochs
-    gan = config.gan_config()
-    assert isinstance(gan, GanConfig)
-    assert (gan.epochs, gan.reconstruction_weight) == (7, 12.5)
-    budget = config.budget()
-    assert isinstance(budget, AttackBudget)
-    assert (budget.epsilon, budget.step_size, budget.iterations) == (0.2, 0.01, 50)
+# one row per rule: (overrides, the exception class validate raises, the
+# key its message names); rows without an exception sit on a boundary
+_VALIDATE_ROWS = [
+    ({"classes": 1}, InputError, "classes"),
+    ({"image_height": 0}, InputError, "image_height"),
+    ({"image_width": 0}, InputError, "image_width"),
+    ({"image_channels": 0}, InputError, "image_channels"),
+    ({"train_size": 0}, InputError, "train_size"),
+    ({"database_size": 0}, InputError, "database_size"),
+    ({"query_size": 0}, InputError, "query_size"),
+    ({"noise_sigma": -0.1}, InputError, "noise_sigma"),
+    ({"extra_class_probability": 1.5}, InputError, "extra_class_probability"),
+    ({"extra_class_probability": -0.1}, InputError, "extra_class_probability"),
+    ({"extra_class_probability": 0.0}, None, None),
+    ({"extra_class_probability": 1.0}, None, None),
+    ({"template_contrast": 0.0}, InputError, "template_contrast"),
+    ({"template_contrast": 1.5}, InputError, "template_contrast"),
+    ({"template_contrast": 1.0}, None, None),
+    ({"code_length": 0}, InputError, "code_length"),
+    ({"transfer_code_length": 0}, InputError, "transfer_code_length"),
+    ({"hash_epochs": 0}, InputError, "hash_epochs"),
+    ({"hash_batch_size": 1}, InputError, "hash_batch_size"),
+    ({"hash_batch_size": 2}, None, None),
+    ({"hash_learning_rate": 0.0}, InputError, "hash_learning_rate"),
+    ({"quantization_weight": -1.0}, InputError, "quantization_weight"),
+    ({"attack_epochs": 0}, InputError, "attack_epochs"),
+    ({"attack_batch_size": 0}, InputError, "attack_batch_size"),
+    ({"attack_learning_rate": -1.0}, InputError, "attack_learning_rate"),
+    ({"discriminator_learning_rate": 0.0}, InputError, "discriminator_learning_rate"),
+    ({"alpha1": -1.0}, InputError, "alpha1"),
+    ({"alpha2": -1.0}, InputError, "alpha2"),
+    ({"alpha3": -1.0}, InputError, "alpha3"),
+    ({"reconstruction_weight": -0.5}, InputError, "reconstruction_weight"),
+    ({"adversarial_weight": -1.0}, InputError, "adversarial_weight"),
+    ({"representation_width": 0}, InputError, "representation_width"),
+    ({"decoder_hidden": 0}, InputError, "decoder_hidden"),
+    ({"generator_bottleneck": 0}, InputError, "generator_bottleneck"),
+    ({"iterations": 0}, InputError, "iterations"),
+    ({"step_size": 0.0}, InputError, "step_size"),
+    ({"epsilon": -0.1}, InputError, "epsilon"),
+    ({"epsilon": 0.01, "step_size": 0.02}, InputError, "step_size"),
+    ({"step_size": 1.0}, InputError, "step_size"),
+    # zero epsilon is the degenerate identity budget, any step is fine
+    ({"epsilon": 0.0, "step_size": 0.5, "iterations": 3}, None, None),
+    ({"anchor_set_size": 0}, ConfigError, "anchor_set_size"),
+]
 
 
-def test_validate_delegates_to_stage_configs():
-    with pytest.raises(InputError):
-        ExperimentConfig(classes=1).validate()
-    with pytest.raises(InputError):
-        ExperimentConfig(hash_epochs=0).validate()
-    with pytest.raises(InputError):
-        ExperimentConfig(step_size=1.0).validate()
-    with pytest.raises(ConfigError):
-        ExperimentConfig(anchor_set_size=0).validate()
+@pytest.mark.parametrize(
+    "overrides, error, key", _VALIDATE_ROWS,
+    ids=[",".join(f"{k}={v}" for k, v in row[0].items()) for row in _VALIDATE_ROWS])
+def test_validate_checks_every_rule(overrides, error, key):
+    config = ExperimentConfig(**overrides)
+    if error is None:
+        config.validate()
+        return
+    with pytest.raises(error, match=key) as caught:
+        config.validate()
+    assert type(caught.value) is error
 
 
 @pytest.mark.parametrize("line", ["hash_learning_rate = nan", "epsilon = nan",

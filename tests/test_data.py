@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from hashattack.config import ExperimentConfig
 from hashattack.data import (
-    DataConfig,
     build_similarity_matrix,
     gen_synthetic_dataset,
     load_bundle,
@@ -13,11 +13,11 @@ from hashattack.errors import DimensionError, InputError
 
 
 def small_config(**overrides):
-    base = dict(classes=4, height=4, width=4, channels=1,
+    base = dict(classes=4, image_height=4, image_width=4, image_channels=1,
                 train_size=40, database_size=60, query_size=20,
                 noise_sigma=0.05, extra_class_probability=0.3)
     base.update(overrides)
-    return DataConfig(**base)
+    return ExperimentConfig(**base)
 
 
 def test_same_seed_bit_identical():
@@ -72,19 +72,6 @@ def test_image_ranges_and_shapes():
     for images in (bundle.train_images, bundle.database_images, bundle.query_images):
         assert images.min() >= 0.0 and images.max() <= 1.0
     assert bundle.pixels == 16
-
-
-def test_config_validation():
-    with pytest.raises(InputError):
-        gen_synthetic_dataset(small_config(classes=1), 0)
-    with pytest.raises(InputError):
-        gen_synthetic_dataset(small_config(query_size=0), 0)
-    with pytest.raises(InputError):
-        gen_synthetic_dataset(small_config(noise_sigma=-0.1), 0)
-    with pytest.raises(InputError):
-        gen_synthetic_dataset(small_config(extra_class_probability=1.5), 0)
-    with pytest.raises(InputError):
-        gen_synthetic_dataset(small_config(height=0), 0)
 
 
 def test_similarity_matrix_examples():

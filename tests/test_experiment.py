@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hashattack import experiment
-from hashattack.data import DataConfig, gen_synthetic_dataset, load_bundle, save_bundle
+from hashattack.config import ExperimentConfig
+from hashattack.data import gen_synthetic_dataset, load_bundle, save_bundle
 from hashattack.errors import (
     CheckpointCorruptError,
     CheckpointError,
@@ -118,6 +119,21 @@ def test_full_pipeline_outputs(tiny_config, tmp_path):
     assert curve_header == "cutoff,precision,recall"
     topn_header = (tmp_path / "topn_prosgan.csv").read_text().splitlines()[0]
     assert topn_header == "N,precision"
+
+
+def test_hash_and_transfer_models_take_their_configured_shapes(tiny_config, tmp_path):
+    config = dataclasses.replace(tiny_config, hash_hidden_widths=(24, 16),
+                                 transfer_code_length=6, transfer_hidden_widths=(20,))
+    for name in ("gen_data", "train_hash", "encode_db", "train_attack", "attack",
+                 "transfer_eval"):
+        experiment.execute_stage(name, config, 9, tmp_path)
+    pixels = config.image_height * config.image_width * config.image_channels
+
+    def stored_widths(name):
+        return json.loads((tmp_path / name).read_text())["meta"]["architecture"]["widths"]
+
+    assert stored_widths("hash_model.json") == [pixels, 24, 16, config.code_length]
+    assert stored_widths("transfer_model.json") == [pixels, 20, 6]
 
 
 def test_same_seed_reproduces_reports_and_checkpoints(tiny_config, tmp_path):
@@ -228,9 +244,9 @@ def _npz_bytes(**arrays):
 
 def _bundle_bytes():
     buffer = io.BytesIO()
-    save_bundle(gen_synthetic_dataset(DataConfig(train_size=2, database_size=2,
-                                                 query_size=2, height=2, width=2), 1),
-                buffer)
+    config = ExperimentConfig(train_size=2, database_size=2, query_size=2,
+                              image_height=2, image_width=2)
+    save_bundle(gen_synthetic_dataset(config, 1), buffer)
     return buffer.getvalue()
 
 

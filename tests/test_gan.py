@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hashattack import tensor as T
+from hashattack.config import ExperimentConfig
 from hashattack.data import unique_labels
 from hashattack.errors import (
     DimensionError,
@@ -11,7 +12,6 @@ from hashattack.errors import (
 from hashattack.gan import (
     AttackStack,
     Discriminator,
-    GanConfig,
     Generator,
     _BatchLosses,
     _pick_targets,
@@ -175,12 +175,12 @@ def test_discriminator_shape_and_range(rng):
 def _mini_setup(seed=0, **overrides):
     rng = np.random.default_rng(seed)
     pixels, classes, code_length = 2, 2, 2
-    config_args = dict(epochs=1, batch_size=3, learning_rate=1e-3,
-                       prototype_hidden=(4,), representation_width=3,
+    config_args = dict(attack_epochs=1, attack_batch_size=3, attack_learning_rate=1e-3,
+                       prototype_hidden_widths=(4,), representation_width=3,
                        decoder_hidden=4, generator_bottleneck=4,
-                       discriminator_hidden=(4,))
+                       discriminator_hidden_widths=(4,))
     config_args.update(overrides)
-    config = GanConfig(**config_args)
+    config = ExperimentConfig(**config_args)
     hash_model = HashModel.create(rng, pixels, code_length, hidden_widths=(4,))
     images = rng.random((6, pixels))
     labels = np.zeros((6, classes))
@@ -195,13 +195,13 @@ def _build_mini_stack(seed, config, hash_model, pixels, classes):
     rng = np.random.default_rng(seed)
     return AttackStack(
         prototype=PrototypeNet.create(rng, classes, hash_model.code_length,
-                                      hidden_widths=config.prototype_hidden,
+                                      hidden_widths=config.prototype_hidden_widths,
                                       representation_width=config.representation_width),
         generator=Generator.create(rng, config.representation_width, pixels,
                                    decoder_hidden=config.decoder_hidden,
                                    bottleneck=config.generator_bottleneck),
         discriminator=Discriminator.create(rng, pixels, classes,
-                                           hidden=config.discriminator_hidden),
+                                           hidden=config.discriminator_hidden_widths),
     )
 
 
@@ -324,14 +324,14 @@ def test_training_updates_all_three_networks_and_freezes_hash_model():
                    for a, b in zip(trained, initial))
     for p, before in zip(hash_model.net.parameters(), frozen):
         assert np.array_equal(p.values, before)
-    assert len(history) == config.epochs
+    assert len(history) == config.attack_epochs
     assert len(history[0]) == 4
     assert all(np.isfinite(row[1:]).all() for row in np.asarray(history))
 
 
 def test_training_is_bit_reproducible():
     config, hash_model, images, labels, label_set, code_matrix = _mini_setup(
-        seed=2, epochs=2)
+        seed=2, attack_epochs=2)
     run = lambda: train_attack_gan(images, labels, label_set, hash_model,
                                    code_matrix, config, 11)
     stack_a, history_a = run()
@@ -355,12 +355,6 @@ def test_training_input_guards():
     with pytest.raises(DimensionError):
         train_attack_gan(images, labels[:-1], label_set, hash_model,
                          code_matrix, config, 0)
-    with pytest.raises(InputError):
-        GanConfig(epochs=0).validate()
-    with pytest.raises(InputError):
-        GanConfig(learning_rate=-1.0).validate()
-    with pytest.raises(InputError):
-        GanConfig(reconstruction_weight=-0.5).validate()
 
 
 def test_targeted_examples_shapes_and_bounds():

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from hashattack import tensor as T
-from hashattack.data import build_similarity_matrix, gen_synthetic_dataset, DataConfig
+from hashattack.config import ExperimentConfig
+from hashattack.data import build_similarity_matrix, gen_synthetic_dataset
 from hashattack.errors import DimensionError, InputError, TrainingDivergedError
 from hashattack.hashing import (
     HashModel,
-    HashTrainConfig,
     binarize,
     encode_database,
     hamming_distance,
@@ -138,18 +138,20 @@ def test_pair_loss_gradient_matches_finite_differences(rng):
 
 
 def _tiny_dataset(seed=5):
-    cfg = DataConfig(classes=3, height=3, width=3, channels=1,
-                     train_size=36, database_size=30, query_size=6,
-                     noise_sigma=0.05, extra_class_probability=0.2)
+    cfg = ExperimentConfig(classes=3, image_height=3, image_width=3, image_channels=1,
+                           train_size=36, database_size=30, query_size=6,
+                           noise_sigma=0.05, extra_class_probability=0.2)
     return gen_synthetic_dataset(cfg, seed)
 
 
 def test_training_reduces_loss_and_is_reproducible():
     bundle = _tiny_dataset()
-    cfg = HashTrainConfig(code_length=6, hidden_widths=(16,), epochs=8,
-                          batch_size=12, learning_rate=2e-3)
-    model_a, history_a = train_target_model(bundle.train_images, bundle.train_labels, cfg, 3)
-    model_b, history_b = train_target_model(bundle.train_images, bundle.train_labels, cfg, 3)
+    cfg = ExperimentConfig(hash_epochs=8, hash_batch_size=12, hash_learning_rate=2e-3,
+                           quantization_weight=0.1)
+    model_a, history_a = train_target_model(bundle.train_images, bundle.train_labels,
+                                            6, (16,), cfg, 3)
+    model_b, history_b = train_target_model(bundle.train_images, bundle.train_labels,
+                                            6, (16,), cfg, 3)
     assert history_a[-1] < history_a[0]
     assert history_a == history_b
     for pa, pb in zip(model_a.net.parameters(), model_b.net.parameters()):
@@ -159,34 +161,25 @@ def test_training_reduces_loss_and_is_reproducible():
 
 def test_training_guards():
     bundle = _tiny_dataset()
-    cfg = HashTrainConfig(epochs=1)
+    cfg = ExperimentConfig(hash_epochs=1, quantization_weight=0.1)
+    shape = (12, (128, 64))
     with pytest.raises(InputError):
-        train_target_model(np.zeros((0, 9)), np.zeros((0, 3)), cfg, 0)
+        train_target_model(np.zeros((0, 9)), np.zeros((0, 3)), *shape, cfg, 0)
     bad_labels = bundle.train_labels.copy()
     bad_labels[0] = 0.0
     with pytest.raises(InputError):
-        train_target_model(bundle.train_images, bad_labels, cfg, 0)
+        train_target_model(bundle.train_images, bad_labels, *shape, cfg, 0)
     with pytest.raises(DimensionError):
-        train_target_model(bundle.train_images, bundle.train_labels[:-1], cfg, 0)
-    with pytest.raises(InputError):
-        HashTrainConfig(epochs=0).validate()
-    with pytest.raises(InputError):
-        HashTrainConfig(batch_size=1).validate()
-    with pytest.raises(InputError):
-        HashTrainConfig(learning_rate=0.0).validate()
-    with pytest.raises(InputError):
-        HashTrainConfig(code_length=0).validate()
-    with pytest.raises(InputError):
-        HashTrainConfig(quantization_weight=-1.0).validate()
+        train_target_model(bundle.train_images, bundle.train_labels[:-1], *shape, cfg, 0)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_divergence_is_reported_with_epoch():
     images = np.full((8, 4), np.nan)
     labels = np.tile([1.0, 0.0], (8, 1))
-    cfg = HashTrainConfig(code_length=4, hidden_widths=(4,), epochs=3, batch_size=4)
+    cfg = ExperimentConfig(hash_epochs=3, hash_batch_size=4, quantization_weight=0.1)
     with pytest.raises(TrainingDivergedError) as err:
-        train_target_model(images, labels, cfg, 0)
+        train_target_model(images, labels, 4, (4,), cfg, 0)
     assert err.value.epoch == 0
 
 
