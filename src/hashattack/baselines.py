@@ -71,7 +71,6 @@ def iterative_gradient_attack(model, images, target_codes, config):
     original images and the [0,1] pixel box.  ``config`` gives the
     ``epsilon``, ``step_size`` and ``iterations`` budget.
     """
-    config.validate()
     images = np.asarray(images, dtype=np.float64)
     target_codes = np.asarray(target_codes, dtype=np.float64)
     if images.ndim != 2:

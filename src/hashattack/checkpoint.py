@@ -86,10 +86,11 @@ def load_checkpoint(path, kind=None, config_hash=None):
         raise CheckpointMismatchError(
             f"{path} holds a {payload.get('kind')!r} checkpoint, expected {kind!r}"
         )
+    # a requested hash must be stored exactly: a file without one is refused
     stored_hash = payload.get("config_hash")
-    if config_hash is not None and stored_hash not in (None, config_hash):
+    if config_hash is not None and stored_hash != config_hash:
         raise CheckpointMismatchError(
-            f"{path} was written under a different configuration"
+            f"{path} was not written under the requested configuration"
         )
     tensors = {}
     try:

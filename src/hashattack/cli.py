@@ -76,7 +76,6 @@ def main(argv=None):
             config = ExperimentConfig()
         else:
             config = ExperimentConfig.from_file(args.config)
-        config.validate()
     except InputError as err:
         print(f"hashattack: error: {err}", file=sys.stderr)
         return 1

@@ -1,7 +1,8 @@
 """Flat ``key = value`` experiment configuration.
 
 One config drives every pipeline stage and every library entry that
-takes one, and ``validate`` is its only check.  Serialization is canonical
+takes one.  It checks every value when it is built, so a config that
+exists is valid and no caller checks it again.  Serialization is canonical
 (fixed field order, repr floats, comma-joined width tuples), so the
 hash of the text identifies the configuration and checkpoints can
 refuse to load under a different one.
@@ -12,7 +13,7 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -103,8 +104,8 @@ class ExperimentConfig:
     def config_hash(self):
         return hashlib.sha256(self.to_text().encode()).hexdigest()
 
-    def validate(self):
-        """The one check of every value; stages and library entries rely on it."""
+    def __post_init__(self):
+        """The one check of every value; construction refuses an invalid config."""
         for spec in fields(self):
             value = getattr(self, spec.name)
             if spec.type is float and not math.isfinite(value):
@@ -113,20 +114,16 @@ class ExperimentConfig:
             for name in names:
                 value = getattr(self, name)
                 if not holds(value):
-                    raise InputError(f"{name} must be {requirement}, got {value!r}")
+                    raise ConfigError(f"{name} must be {requirement}, got {value!r}")
         for name in _WIDTH_LISTS:
             widths = getattr(self, name)
             if any(width < 1 for width in widths):
-                raise InputError(f"{name}: widths must be positive, got {widths}")
+                raise ConfigError(f"{name}: widths must be positive, got {widths}")
         # epsilon 0 is the degenerate no-perturbation budget; otherwise
         # a single step must stay inside the ball
         if self.epsilon > 0.0 and self.step_size > self.epsilon:
-            raise InputError(
-                f"step_size {self.step_size!r} exceeds epsilon {self.epsilon!r}"
-            )
-        if self.anchor_set_size < 1:
             raise ConfigError(
-                f"anchor_set_size must be positive, got {self.anchor_set_size}"
+                f"step_size {self.step_size!r} exceeds epsilon {self.epsilon!r}"
             )
 
 
@@ -136,7 +133,7 @@ _RULES = (
     (("image_height", "image_width", "image_channels", "train_size",
       "database_size", "query_size", "code_length", "transfer_code_length",
       "hash_epochs", "attack_epochs", "attack_batch_size", "representation_width",
-      "decoder_hidden", "generator_bottleneck", "iterations"),
+      "decoder_hidden", "generator_bottleneck", "iterations", "anchor_set_size"),
      lambda v: v >= 1, "positive"),
     (("hash_batch_size",), lambda v: v >= 2, "at least 2 for pairwise training"),
     (("hash_learning_rate", "attack_learning_rate", "discriminator_learning_rate",

@@ -60,7 +60,6 @@ def _render(rng, labels, templates, sigma):
 
 def gen_synthetic_dataset(config, seed):
     """Deterministically build all three splits of ``config`` from one seed."""
-    config.validate()
     rng = np.random.default_rng(seed)
     image_spec = (config.image_height, config.image_width, config.image_channels)
     # pull independent patterns toward their mean so classes differ subtly

@@ -23,7 +23,8 @@ from .checkpoint import (
     save_hash_model,
 )
 from .data import gen_synthetic_dataset, load_bundle, load_npz, save_bundle, unique_labels
-from .errors import CheckpointMismatchError, CheckpointMissingError, InputError
+from .errors import (CheckpointCorruptError, CheckpointMismatchError,
+                     CheckpointMissingError, InputError)
 from .evaluation import evaluate_queries, t_map
 from .gan import _pick_targets, targeted_examples, train_attack_gan
 from .hashing import encode_database, train_target_model
@@ -77,7 +78,12 @@ def _write_csv(path, header, rows):
 def update_timings(out, **entries):
     """Merge wall-clock entries into the run's timing sidecar."""
     target = Path(out) / "timings.json"
-    current = json.loads(target.read_text()) if target.is_file() else {}
+    try:
+        current = json.loads(target.read_text()) if target.is_file() else {}
+    except ValueError as err:  # bad JSON or bad UTF-8
+        raise CheckpointCorruptError(f"unreadable timings.json: {err}") from err
+    if not isinstance(current, dict):
+        raise CheckpointCorruptError("timings.json is not a JSON object")
     current.update({key: float(value) for key, value in entries.items()})
     _write_json(target, current)
 
@@ -88,11 +94,7 @@ def _load_data(out):
 
 def _load_checkpoint(load, path, config, seed):
     """A stage's upstream module, refused unless this run's config and seed made it."""
-    module, checkpoint = load(path)
-    if checkpoint.config_hash != config.config_hash():
-        raise CheckpointMismatchError(
-            f"{Path(path).name} was not written under this run's configuration"
-        )
+    module, checkpoint = load(path, config_hash=config.config_hash())
     if checkpoint.seed != seed:
         raise CheckpointMismatchError(
             f"{Path(path).name} was written under seed {checkpoint.seed}, not {seed}"
@@ -115,9 +117,17 @@ def _load_codes(out):
     return load_npz(path, ("code_matrix",))[0]
 
 
-def _load_examples(out, slug):
+def _load_examples(out, slug, queries, targets):
+    """A method's perturbed block, refused unless it attacks this run's queries and targets."""
     path = _require(Path(out) / f"adversarial_{slug}.npz", slug)
-    return load_npz(path, ("originals", "perturbed", "target_labels"))
+    originals, perturbed, stored_targets = load_npz(
+        path, ("originals", "perturbed", "target_labels"))
+    if not (np.array_equal(originals, queries) and np.array_equal(stored_targets, targets)
+            and perturbed.shape == queries.shape):
+        raise CheckpointMismatchError(
+            f"{path.name} does not attack this run's queries toward its targets"
+        )
+    return perturbed
 
 
 def eval_target_labels(config, seed, bundle):
@@ -253,12 +263,11 @@ def stage_eval(config, seed, out):
         path = out / f"adversarial_{slug}.npz"
         if not path.is_file():
             continue
-        originals, perturbed, stored_targets = _load_examples(out, slug)
-        codes = model.codes(perturbed)
-        methods[name] = evaluate_queries(codes, stored_targets, matrix,
+        perturbed = _load_examples(out, slug, bundle.query_images, targets)
+        methods[name] = evaluate_queries(model.codes(perturbed), targets, matrix,
                                          db_labels,
                                          true_labels=bundle.query_labels,
-                                         originals=originals,
+                                         originals=bundle.query_images,
                                          perturbed=perturbed)
         curves[slug] = methods[name]
 
@@ -300,7 +309,8 @@ def stage_transfer_eval(config, seed, out):
     """Train a second model and score the generator's output against it."""
     out = Path(out)
     bundle = _load_data(out)
-    originals, perturbed, stored_targets = _load_examples(out, "prosgan")
+    targets = eval_target_labels(config, seed, bundle)
+    perturbed = _load_examples(out, "prosgan", bundle.query_images, targets)
     model_b, losses = train_target_model(bundle.train_images,
                                          bundle.train_labels,
                                          config.transfer_code_length,
@@ -310,9 +320,9 @@ def stage_transfer_eval(config, seed, out):
                     config_hash=config.config_hash(),
                     meta={"final_loss": losses[-1]})
     matrix_b = encode_database(model_b, bundle.database_images)
-    original_t = t_map(model_b.codes(originals), stored_targets, matrix_b,
+    original_t = t_map(model_b.codes(bundle.query_images), targets, matrix_b,
                        bundle.database_labels)
-    adversarial_t = t_map(model_b.codes(perturbed), stored_targets, matrix_b,
+    adversarial_t = t_map(model_b.codes(perturbed), targets, matrix_b,
                           bundle.database_labels)
     report = {
         "seed": int(seed),
@@ -342,11 +352,7 @@ STAGE_ORDER = tuple(_STAGE_TABLE)
 
 
 def execute_stage(name, config, seed, out):
-    """Validate the config and run one named stage.
-
-    A failure, an invalid config included, leaves a ``<stage>.partial``
-    marker.
-    """
+    """Run one named stage; a failure leaves a ``<stage>.partial`` marker."""
     if name not in _STAGE_TABLE:
         raise InputError(f"unknown stage {name!r}")
     out = Path(out)
@@ -354,13 +360,12 @@ def execute_stage(name, config, seed, out):
     marker = out / f"{name}.partial"
     started = time.perf_counter()
     try:
-        config.validate()
         result = _STAGE_TABLE[name](config, seed, out)
+        update_timings(out, **{f"{name}_seconds": time.perf_counter() - started})
     except BaseException as err:
         marker.write_text(f"{type(err).__name__}: {err}\n")
         raise
     marker.unlink(missing_ok=True)
-    update_timings(out, **{f"{name}_seconds": time.perf_counter() - started})
     return result
 
 

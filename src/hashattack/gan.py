@@ -292,7 +292,6 @@ def train_attack_gan(images, labels, label_set, hash_model, code_matrix, config,
     loss) means taken before each batch's updates.  The hashing model is
     read but never updated.
     """
-    config.validate()
     images = np.asarray(images, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     label_set = np.asarray(label_set, dtype=np.float64)

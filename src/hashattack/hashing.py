@@ -107,7 +107,6 @@ def train_target_model(images, labels, code_length, hidden_widths, config, rng):
     differ only in shape; the ``hash_*`` and ``quantization_weight`` fields
     of ``config`` set the training.
     """
-    config.validate()
     images = np.asarray(images, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     if images.ndim != 2 or images.shape[0] == 0:

@@ -110,10 +110,13 @@ def test_kind_and_config_hash_gates(tmp_path, rng):
         load_checkpoint(target, kind="attack_stack")
     with pytest.raises(CheckpointMismatchError):
         load_checkpoint(target, config_hash="bbb")
-    # matching expectations pass, and an unpinned save accepts any hash
+    # matching expectations pass; a save without a hash loads only when
+    # no hash is requested
     load_checkpoint(target, kind="hash_model", config_hash="aaa")
     save_checkpoint(target, Checkpoint(kind="hash_model", tensors={"w": rng.random(2)}))
-    load_checkpoint(target, config_hash="anything")
+    load_checkpoint(target)
+    with pytest.raises(CheckpointMismatchError):
+        load_checkpoint(target, config_hash="anything")
 
 
 def test_shape_payload_mismatch_is_corrupt(tmp_path, rng):

@@ -144,4 +144,23 @@ def test_checkpoint_without_a_config_hash_exits_two(tmp_path, capsys):
     save_hash_model(path, model, seed=checkpoint.seed)
     capsys.readouterr()
     assert _run(["encode-db"], tmp_path, config=config) == 2
-    assert "not written under this run's configuration" in capsys.readouterr().err
+    assert "not written under the requested configuration" in capsys.readouterr().err
+
+
+def test_adversarial_file_from_another_run_exits_two(tmp_path, capsys):
+    config = _config_file(tmp_path)
+    runs = {seed: tmp_path / f"seed{seed}" for seed in ("7", "8")}
+    for seed, out in runs.items():
+        for command in (["gen-data"], ["train-hash"], ["encode-db"], ["baseline", "p2p"]):
+            argv = [*command, "--seed", seed, "--out", str(out), "--config", config]
+            assert main(argv) == 0, (seed, command)
+    # seed 8's directory now holds seed 7's queries, as P2P and as generator output
+    foreign = (runs["7"] / "adversarial_p2p.npz").read_bytes()
+    for name in ("adversarial_p2p.npz", "adversarial_prosgan.npz"):
+        (runs["8"] / name).write_bytes(foreign)
+    capsys.readouterr()
+    for command in ("eval", "transfer-eval"):
+        assert main([command, "--seed", "8", "--out", str(runs["8"]),
+                     "--config", config]) == 2, command
+        assert "does not attack this run's queries" in capsys.readouterr().err, command
+    assert not (runs["8"] / "report.json").exists()

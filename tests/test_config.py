@@ -1,7 +1,9 @@
 """Configuration parsing, canonical serialization, and hashing tests."""
 
+import dataclasses
 import tempfile
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -9,12 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hashattack.config import ExperimentConfig
-from hashattack.errors import ConfigError, InputError
+from hashattack.errors import ConfigError
 
 
 def test_defaults_round_trip_and_validate():
     config = ExperimentConfig()
-    config.validate()
     assert ExperimentConfig.from_text(config.to_text()) == config
 
 
@@ -73,82 +74,83 @@ def test_file_round_trip(tmp_path):
         ExperimentConfig.from_file(tmp_path / "missing.cfg")
 
 
-# one row per rule: (overrides, the exception class validate raises, the
-# key its message names); rows without an exception sit on a boundary
+# one row per rule: (overrides, the key named by the ConfigError that
+# building raises); rows without a key sit on a boundary and build
 _VALIDATE_ROWS = [
-    ({"classes": 1}, InputError, "classes"),
-    ({"image_height": 0}, InputError, "image_height"),
-    ({"image_width": 0}, InputError, "image_width"),
-    ({"image_channels": 0}, InputError, "image_channels"),
-    ({"train_size": 0}, InputError, "train_size"),
-    ({"database_size": 0}, InputError, "database_size"),
-    ({"query_size": 0}, InputError, "query_size"),
-    ({"noise_sigma": -0.1}, InputError, "noise_sigma"),
-    ({"extra_class_probability": 1.5}, InputError, "extra_class_probability"),
-    ({"extra_class_probability": -0.1}, InputError, "extra_class_probability"),
-    ({"extra_class_probability": 0.0}, None, None),
-    ({"extra_class_probability": 1.0}, None, None),
-    ({"template_contrast": 0.0}, InputError, "template_contrast"),
-    ({"template_contrast": 1.5}, InputError, "template_contrast"),
-    ({"template_contrast": 1.0}, None, None),
-    ({"code_length": 0}, InputError, "code_length"),
-    ({"transfer_code_length": 0}, InputError, "transfer_code_length"),
-    ({"hash_epochs": 0}, InputError, "hash_epochs"),
-    ({"hash_batch_size": 1}, InputError, "hash_batch_size"),
-    ({"hash_batch_size": 2}, None, None),
-    ({"hash_learning_rate": 0.0}, InputError, "hash_learning_rate"),
-    ({"quantization_weight": -1.0}, InputError, "quantization_weight"),
-    ({"attack_epochs": 0}, InputError, "attack_epochs"),
-    ({"attack_batch_size": 0}, InputError, "attack_batch_size"),
-    ({"attack_learning_rate": -1.0}, InputError, "attack_learning_rate"),
-    ({"discriminator_learning_rate": 0.0}, InputError, "discriminator_learning_rate"),
-    ({"alpha1": -1.0}, InputError, "alpha1"),
-    ({"alpha2": -1.0}, InputError, "alpha2"),
-    ({"alpha3": -1.0}, InputError, "alpha3"),
-    ({"reconstruction_weight": -0.5}, InputError, "reconstruction_weight"),
-    ({"adversarial_weight": -1.0}, InputError, "adversarial_weight"),
-    ({"representation_width": 0}, InputError, "representation_width"),
-    ({"decoder_hidden": 0}, InputError, "decoder_hidden"),
-    ({"generator_bottleneck": 0}, InputError, "generator_bottleneck"),
-    ({"iterations": 0}, InputError, "iterations"),
-    ({"step_size": 0.0}, InputError, "step_size"),
-    ({"epsilon": -0.1}, InputError, "epsilon"),
-    ({"epsilon": 0.01, "step_size": 0.02}, InputError, "step_size"),
-    ({"step_size": 1.0}, InputError, "step_size"),
+    ({"classes": 1}, "classes"),
+    ({"image_height": 0}, "image_height"),
+    ({"image_width": 0}, "image_width"),
+    ({"image_channels": 0}, "image_channels"),
+    ({"train_size": 0}, "train_size"),
+    ({"database_size": 0}, "database_size"),
+    ({"query_size": 0}, "query_size"),
+    ({"noise_sigma": -0.1}, "noise_sigma"),
+    ({"extra_class_probability": 1.5}, "extra_class_probability"),
+    ({"extra_class_probability": -0.1}, "extra_class_probability"),
+    ({"extra_class_probability": 0.0}, None),
+    ({"extra_class_probability": 1.0}, None),
+    ({"template_contrast": 0.0}, "template_contrast"),
+    ({"template_contrast": 1.5}, "template_contrast"),
+    ({"template_contrast": 1.0}, None),
+    ({"code_length": 0}, "code_length"),
+    ({"transfer_code_length": 0}, "transfer_code_length"),
+    ({"hash_epochs": 0}, "hash_epochs"),
+    ({"hash_batch_size": 1}, "hash_batch_size"),
+    ({"hash_batch_size": 2}, None),
+    ({"hash_learning_rate": 0.0}, "hash_learning_rate"),
+    ({"quantization_weight": -1.0}, "quantization_weight"),
+    ({"attack_epochs": 0}, "attack_epochs"),
+    ({"attack_batch_size": 0}, "attack_batch_size"),
+    ({"attack_learning_rate": -1.0}, "attack_learning_rate"),
+    ({"discriminator_learning_rate": 0.0}, "discriminator_learning_rate"),
+    ({"alpha1": -1.0}, "alpha1"),
+    ({"alpha2": -1.0}, "alpha2"),
+    ({"alpha3": -1.0}, "alpha3"),
+    ({"reconstruction_weight": -0.5}, "reconstruction_weight"),
+    ({"adversarial_weight": -1.0}, "adversarial_weight"),
+    ({"representation_width": 0}, "representation_width"),
+    ({"decoder_hidden": 0}, "decoder_hidden"),
+    ({"generator_bottleneck": 0}, "generator_bottleneck"),
+    ({"iterations": 0}, "iterations"),
+    ({"step_size": 0.0}, "step_size"),
+    ({"epsilon": -0.1}, "epsilon"),
+    ({"epsilon": 0.01, "step_size": 0.02}, "step_size"),
+    ({"step_size": 1.0}, "step_size"),
     # zero epsilon is the degenerate identity budget, any step is fine
-    ({"epsilon": 0.0, "step_size": 0.5, "iterations": 3}, None, None),
-    ({"anchor_set_size": 0}, ConfigError, "anchor_set_size"),
+    ({"epsilon": 0.0, "step_size": 0.5, "iterations": 3}, None),
+    ({"anchor_set_size": 0}, "anchor_set_size"),
 ]
 
 
 @pytest.mark.parametrize(
-    "overrides, error, key", _VALIDATE_ROWS,
+    "overrides, key", _VALIDATE_ROWS,
     ids=[",".join(f"{k}={v}" for k, v in row[0].items()) for row in _VALIDATE_ROWS])
-def test_validate_checks_every_rule(overrides, error, key):
-    config = ExperimentConfig(**overrides)
-    if error is None:
-        config.validate()
-        return
-    with pytest.raises(error, match=key) as caught:
-        config.validate()
-    assert type(caught.value) is error
+def test_validate_checks_every_rule(overrides, key):
+    # a config edited with dataclasses.replace is checked like a new one
+    for build in (ExperimentConfig, partial(dataclasses.replace, ExperimentConfig())):
+        if key is None:
+            build(**overrides)
+            continue
+        with pytest.raises(ConfigError, match=key) as caught:
+            build(**overrides)
+        assert type(caught.value) is ConfigError
 
 
 @pytest.mark.parametrize("line", ["hash_learning_rate = nan", "epsilon = nan",
                                   "noise_sigma = inf"])
 def test_validate_rejects_non_finite_floats(line):
-    config = ExperimentConfig.from_text(line + "\n")
-    with pytest.raises(ConfigError):
-        config.validate()
+    with pytest.raises(ConfigError, match="must be finite") as caught:
+        ExperimentConfig.from_text(line + "\n")
+    assert type(caught.value) is ConfigError
 
 
 @pytest.mark.parametrize("line", ["hash_hidden_widths = 0", "transfer_hidden_widths = 96,-2",
                                   "prototype_hidden_widths = -2",
                                   "discriminator_hidden_widths = 64,0"])
 def test_validate_rejects_non_positive_hidden_widths(line):
-    config = ExperimentConfig.from_text(line + "\n")
-    with pytest.raises(InputError, match="widths must be positive"):
-        config.validate()
+    with pytest.raises(ConfigError, match="widths must be positive") as caught:
+        ExperimentConfig.from_text(line + "\n")
+    assert type(caught.value) is ConfigError
 
 
 def test_float_formatting_survives_round_trip():

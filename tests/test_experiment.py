@@ -220,20 +220,22 @@ def test_attack_stages_store_queries_and_shared_targets(tiny_config, tmp_path):
     bundle = load_bundle(tmp_path / "dataset.npz")
     targets = experiment.eval_target_labels(tiny_config, 6, bundle)
     for method in _ATTACK_STAGES:
-        originals, perturbed, stored_targets = experiment._load_examples(tmp_path, method)
-        assert np.array_equal(originals, bundle.query_images), method
-        assert np.array_equal(stored_targets, targets), method
+        # the load refuses a file whose originals or targets are not these
+        perturbed = experiment._load_examples(tmp_path, method, bundle.query_images,
+                                              targets)
         assert perturbed.shape == bundle.query_images.shape, method
-        assert not np.array_equal(perturbed, originals), method
+        assert not np.array_equal(perturbed, bundle.query_images), method
+    with pytest.raises(CheckpointMismatchError, match="adversarial_p2p.npz"):
+        experiment._load_examples(tmp_path, "p2p", bundle.query_images, 1.0 - targets)
 
 
-@pytest.mark.parametrize("stage", experiment.STAGE_ORDER)
-def test_invalid_config_is_refused_before_the_stage_runs(tiny_config, tmp_path, stage):
-    invalid = dataclasses.replace(tiny_config, classes=1)
-    with pytest.raises(InputError):
-        experiment.execute_stage(stage, invalid, 5, tmp_path)
-    assert [path.name for path in tmp_path.iterdir()] == [f"{stage}.partial"]
-    assert "InputError" in (tmp_path / f"{stage}.partial").read_text()
+@pytest.mark.parametrize("damage", ["[]", "{"])
+def test_damaged_timings_are_corrupt(tiny_config, tmp_path, damage):
+    experiment.execute_stage("gen_data", tiny_config, 5, tmp_path)
+    (tmp_path / "timings.json").write_text(damage)
+    with pytest.raises(CheckpointCorruptError, match="timings.json"):
+        experiment.execute_stage("gen_data", tiny_config, 5, tmp_path)
+    assert "timings.json" in (tmp_path / "gen_data.partial").read_text()
 
 
 def _npz_bytes(**arrays):
@@ -256,7 +258,9 @@ _NPZ_LOADERS = {
                 _bundle_bytes()),
     "codes": ("codes.npz", experiment._load_codes,
               _npz_bytes(code_matrix=np.ones((4, 3)))),
-    "examples": ("adversarial_p2p.npz", lambda out: experiment._load_examples(out, "p2p"),
+    "examples": ("adversarial_p2p.npz",
+                 lambda out: experiment._load_examples(out, "p2p", np.zeros((2, 4)),
+                                                       np.eye(2)),
                  _npz_bytes(originals=np.zeros((2, 4)), perturbed=np.ones((2, 4)),
                             target_labels=np.eye(2))),
 }
