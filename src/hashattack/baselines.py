@@ -11,7 +11,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import build_similarity_matrix
-from .errors import DimensionError, InputError, TargetUnsatisfiableError
+from .errors import InputError, TargetUnsatisfiableError
 from .gan import loss_hamming
 from .hashing import binarize
 
@@ -73,13 +73,6 @@ def iterative_gradient_attack(model, images, target_codes, config):
     """
     images = np.asarray(images, dtype=np.float64)
     target_codes = np.asarray(target_codes, dtype=np.float64)
-    if images.ndim != 2:
-        raise DimensionError(f"attack operates on a (count, pixels) block, got {images.shape}")
-    if target_codes.shape != (images.shape[0], model.code_length):
-        raise DimensionError(
-            f"need {images.shape[0]} target codes of length {model.code_length}, "
-            f"got {target_codes.shape}"
-        )
     low = np.clip(images - config.epsilon, 0.0, 1.0)
     high = np.clip(images + config.epsilon, 0.0, 1.0)
     perturbed = images.copy()

@@ -31,11 +31,6 @@ class DatasetBundle:
     query_images: np.ndarray
     query_labels: np.ndarray
 
-    @property
-    def pixels(self):
-        h, w, c = self.image_spec
-        return h * w * c
-
 
 def _draw_labels(rng, count, classes, extra_probability):
     labels = np.zeros((count, classes))

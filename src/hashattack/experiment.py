@@ -130,7 +130,7 @@ def _load_examples(out, slug, queries, targets):
     return perturbed
 
 
-def eval_target_labels(config, seed, bundle):
+def eval_target_labels(seed, bundle):
     """The one shared draw of per-query attack targets for this run."""
     label_set = unique_labels(bundle.train_labels)
     return _pick_targets(stage_rng(seed, "eval_targets"), bundle.query_labels,
@@ -199,7 +199,7 @@ def stage_attack(config, seed, out, method):
     """
     bundle = _load_data(out)
     queries = bundle.query_images
-    targets = eval_target_labels(config, seed, bundle)
+    targets = eval_target_labels(seed, bundle)
     if method == "prosgan":
         stack = _load_stack(config, seed, out)
         generate = functools.partial(targeted_examples, stack, queries, targets)
@@ -245,7 +245,7 @@ def stage_eval(config, seed, out):
     model = _load_hash(config, seed, out)
     matrix = _load_codes(out)
     db_labels = bundle.database_labels
-    targets = eval_target_labels(config, seed, bundle)
+    targets = eval_target_labels(seed, bundle)
 
     methods = {}
     curves = {}
@@ -309,7 +309,7 @@ def stage_transfer_eval(config, seed, out):
     """Train a second model and score the generator's output against it."""
     out = Path(out)
     bundle = _load_data(out)
-    targets = eval_target_labels(config, seed, bundle)
+    targets = eval_target_labels(seed, bundle)
     perturbed = _load_examples(out, "prosgan", bundle.query_images, targets)
     model_b, losses = train_target_model(bundle.train_images,
                                          bundle.train_labels,

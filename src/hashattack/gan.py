@@ -82,12 +82,6 @@ class Generator(Module):
 
     def forward(self, images, representations):
         """Traced perturbed batch; both inputs are (batch, ...) rows."""
-        images = T._as_tensor(images)
-        representations = T._as_tensor(representations)
-        if images.values.shape[0] != representations.values.shape[0]:
-            raise DimensionError(
-                f"batch sizes disagree: {images.values.shape} vs {representations.values.shape}"
-            )
         conditioning = self.label_decoder.forward(representations)
         mixed = T.concat([images, conditioning], axis=1)
         core_out = self.core.forward(mixed)
@@ -150,58 +144,37 @@ def loss_hamming(target_codes, continuous_codes):
     continuous code equals the target exactly, two when antipodal.
     """
     target_codes = np.asarray(target_codes, dtype=np.float64)
-    if target_codes.shape != continuous_codes.values.shape:
-        raise DimensionError(
-            f"code blocks disagree: {target_codes.shape} vs {continuous_codes.values.shape}"
-        )
+    aligned = T.total(T.mul(continuous_codes, T.Tensor(target_codes)))
     code_length = target_codes.shape[-1]
     pairs = 1 if target_codes.ndim == 1 else target_codes.shape[0]
-    aligned = T.total(T.mul(continuous_codes, T.Tensor(target_codes)))
     return T.shift(T.scale(aligned, -1.0 / code_length), float(pairs))
 
 
 def loss_reconstruction(images, perturbed):
     """Batch sum of squared pixel differences."""
-    images = T._as_tensor(images)
-    if images.values.shape != perturbed.values.shape:
-        raise DimensionError(
-            f"image blocks disagree: {images.values.shape} vs {perturbed.values.shape}"
-        )
     return T.total(T.square(T.sub(perturbed, images)))
 
 
-def loss_adversarial(discriminator_scores, target_labels, class_mask=None):
-    """Generator's fooling loss: squared gap to [target label, real-flag 0]."""
-    target = augment_label(np.asarray(target_labels, dtype=np.float64), "real")
-    if discriminator_scores.values.shape != target.shape:
-        raise DimensionError(
-            f"score block {discriminator_scores.values.shape} does not match "
-            f"augmented labels {target.shape}"
-        )
-    gap = T.square(T.sub(discriminator_scores, T.Tensor(target)))
+def _score_gap(scores, labels, role, class_mask):
+    """Summed squared gap between scores and the ``role``-flagged labels, class-masked."""
+    target = augment_label(labels, role)
+    gap = T.square(T.sub(scores, T.Tensor(target)))
     if class_mask is not None:
         gap = T.mul(gap, T.Tensor(np.broadcast_to(class_mask, gap.values.shape).copy()))
     return T.total(gap)
 
 
+def loss_adversarial(discriminator_scores, target_labels, class_mask=None):
+    """Generator's fooling loss: squared gap to [target label, real-flag 0]."""
+    return _score_gap(discriminator_scores, target_labels, "real", class_mask)
+
+
 def loss_discriminator(real_scores, true_labels, fake_scores, target_labels,
                        class_mask=None):
     """Half the summed squared gaps to [y, 0] for real and [y_t, 1] for fake."""
-    real_target = augment_label(np.asarray(true_labels, dtype=np.float64), "real")
-    fake_target = augment_label(np.asarray(target_labels, dtype=np.float64), "fake")
-    if real_scores.values.shape != real_target.shape or fake_scores.values.shape != fake_target.shape:
-        raise DimensionError(
-            f"score blocks {real_scores.values.shape}/{fake_scores.values.shape} do not match "
-            f"augmented labels {real_target.shape}/{fake_target.shape}"
-        )
-    real_gap = T.square(T.sub(real_scores, T.Tensor(real_target)))
-    fake_gap = T.square(T.sub(fake_scores, T.Tensor(fake_target)))
-    if class_mask is not None:
-        mask_real = T.Tensor(np.broadcast_to(class_mask, real_gap.values.shape).copy())
-        mask_fake = T.Tensor(np.broadcast_to(class_mask, fake_gap.values.shape).copy())
-        real_gap = T.mul(real_gap, mask_real)
-        fake_gap = T.mul(fake_gap, mask_fake)
-    return T.scale(T.add(T.total(real_gap), T.total(fake_gap)), 0.5)
+    real_gap = _score_gap(real_scores, true_labels, "real", class_mask)
+    fake_gap = _score_gap(fake_scores, target_labels, "fake", class_mask)
+    return T.scale(T.add(real_gap, fake_gap), 0.5)
 
 
 @dataclass

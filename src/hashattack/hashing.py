@@ -85,11 +85,6 @@ def pairwise_code_loss(continuous, similarity, quantization_weight):
     sign(continuous) as a constant target.
     """
     n = continuous.values.shape[0]
-    similarity = np.asarray(similarity, dtype=np.float64)
-    if similarity.shape != (n, n):
-        raise DimensionError(
-            f"similarity must be ({n}, {n}) for this batch, got {similarity.shape}"
-        )
     omega = T.scale(T.matmul(continuous, T.transpose(continuous)), 0.5)
     addends = T.sub(T.softplus(omega), T.mul(T.Tensor(similarity), omega))
     upper = np.triu(np.ones((n, n)), k=1)

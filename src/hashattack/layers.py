@@ -139,11 +139,6 @@ class MLP(Module):
         return self.layers[-1].weight.shape[1]
 
     def forward(self, x):
-        x = T._as_tensor(x)
-        if x.values.ndim != 2 or x.values.shape[1] != self.input_width:
-            raise DimensionError(
-                f"expected input (batch, {self.input_width}), got {x.values.shape}"
-            )
         for layer in self.layers:
             x = layer.forward(x)
         return x

@@ -4,6 +4,11 @@ import numpy as np
 
 from .errors import InputError
 
+# The standard decay rates and denominator offset; no caller varies them.
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
 
 class Adam:
     """Adaptive-moment descent over a fixed parameter list.
@@ -13,18 +18,11 @@ class Adam:
     ascent negate their objective before the backward pass.
     """
 
-    def __init__(self, params, learning_rate=1e-4, beta1=0.9, beta2=0.999, epsilon=1e-8):
+    def __init__(self, params, learning_rate):
         if learning_rate <= 0.0:
             raise InputError(f"learning rate must be positive, got {learning_rate}")
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise InputError(f"decay rates must lie in [0, 1), got {beta1} and {beta2}")
-        if epsilon <= 0.0:
-            raise InputError(f"epsilon must be positive, got {epsilon}")
         self.params = list(params)
         self.learning_rate = float(learning_rate)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.epsilon = float(epsilon)
         self.count = 0
         self._m = [np.zeros_like(p.values) for p in self.params]
         self._v = [np.zeros_like(p.values) for p in self.params]
@@ -40,24 +38,25 @@ class Adam:
 
         Moments and parameters are updated in place, in the elementwise
         order of ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)`` with
-        ``m = b1 * m + (1 - b1) * g`` and ``v = b2 * v + (1 - b2) * (g * g)``.
+        ``m = b1 * m + (1 - b1) * g`` and ``v = b2 * v + (1 - b2) * (g * g)``,
+        where ``b1``, ``b2`` and ``eps`` are ``BETA1``, ``BETA2`` and ``EPSILON``.
         """
         self.count += 1
-        correct1 = 1.0 - self.beta1 ** self.count
-        correct2 = 1.0 - self.beta2 ** self.count
+        correct1 = 1.0 - BETA1 ** self.count
+        correct2 = 1.0 - BETA2 ** self.count
         for p, m, v, (a, b) in zip(self.params, self._m, self._v, self._scratch):
             g = grads.wrt(p)
-            m *= self.beta1
-            np.multiply(g, 1.0 - self.beta1, out=a)
+            m *= BETA1
+            np.multiply(g, 1.0 - BETA1, out=a)
             m += a
             np.multiply(g, g, out=a)
-            a *= 1.0 - self.beta2
-            v *= self.beta2
+            a *= 1.0 - BETA2
+            v *= BETA2
             v += a
             np.divide(m, correct1, out=a)
             np.divide(v, correct2, out=b)
             np.sqrt(b, out=b)
-            b += self.epsilon
+            b += EPSILON
             a *= self.learning_rate
             a /= b
             p.values -= a

@@ -115,24 +115,6 @@ def loss_prototype(continuous_codes, code_matrix, similarity, predicted_labels,
       sign, the sign held constant in the gradient,
     - classification: squared gap between predicted and true labels.
     """
-    code_matrix = np.asarray(code_matrix, dtype=np.float64)
-    similarity = np.asarray(similarity, dtype=np.float64)
-    kk, m = continuous_codes.values.shape
-    if code_matrix.ndim != 2 or code_matrix.shape[0] != kk:
-        raise DimensionError(
-            f"code matrix must be ({kk}, N), got {code_matrix.shape}"
-        )
-    if similarity.shape != (m, code_matrix.shape[1]):
-        raise DimensionError(
-            f"similarity must be ({m}, {code_matrix.shape[1]}), got {similarity.shape}"
-        )
-    true_labels = np.asarray(true_labels, dtype=np.float64)
-    if predicted_labels.values.shape != true_labels.shape or true_labels.shape[1] != m:
-        raise DimensionError(
-            f"label blocks disagree: {predicted_labels.values.shape} vs "
-            f"{true_labels.shape} for {m} prototypes"
-        )
-
     omega = T.scale(T.matmul(T.transpose(continuous_codes), T.Tensor(code_matrix)), 0.5)
     pair = T.total(T.sub(T.softplus(omega), T.mul(T.Tensor(similarity), omega)))
     sign_target = T.Tensor(binarize(continuous_codes.values))

@@ -11,7 +11,9 @@ never visited.
 
 Values are float64 numpy arrays throughout.  Ops require exact shape
 agreement (no silent broadcasting); the one blessed broadcast is
-``bias_add``, which adds a vector across the rows of a matrix.
+``bias_add``, which adds a vector across the rows of a matrix.  Each op
+raises ``DimensionError`` on a mismatch before it returns, so callers
+rely on these checks and do not repeat them.
 """
 
 import numpy as np
@@ -38,10 +40,6 @@ class Tensor:
     @property
     def shape(self):
         return self.values.shape
-
-    @property
-    def size(self):
-        return self.values.size
 
     def __repr__(self):
         state = "attached" if self.tape is not None else "constant"

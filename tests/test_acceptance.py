@@ -100,7 +100,7 @@ def gan_variants(pipeline):
         matrix = blob["code_matrix"]
     train_codes = encode_database(model, bundle.train_images)
     label_set = unique_labels(bundle.train_labels)
-    targets = eval_target_labels(config, SEED, bundle)
+    targets = eval_target_labels(SEED, bundle)
 
     def trained(**overrides):
         gan_config = dataclasses.replace(config, **overrides)
@@ -436,7 +436,7 @@ def test_criterion_14_checkpoint_persistence(pipeline, tmp_path, rng):
                       config_hash=config.config_hash())
     stack_again, _ = load_attack_stack(tmp_path / "stack.json",
                                        config_hash=config.config_hash())
-    targets = eval_target_labels(config, SEED, bundle)[:3]
+    targets = eval_target_labels(SEED, bundle)[:3]
     images = bundle.query_images[:3]
     before = targeted_examples(stack, images, targets)
     after = targeted_examples(stack_again, images, targets)

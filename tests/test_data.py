@@ -71,7 +71,6 @@ def test_image_ranges_and_shapes():
     assert bundle.query_images.shape == (20, 16)
     for images in (bundle.train_images, bundle.database_images, bundle.query_images):
         assert images.min() >= 0.0 and images.max() <= 1.0
-    assert bundle.pixels == 16
 
 
 def test_similarity_matrix_examples():

@@ -218,7 +218,7 @@ def test_attack_stages_store_queries_and_shared_targets(tiny_config, tmp_path):
     for name in _UPSTREAM + tuple(_ATTACK_STAGES.values()):
         experiment.execute_stage(name, tiny_config, 6, tmp_path)
     bundle = load_bundle(tmp_path / "dataset.npz")
-    targets = experiment.eval_target_labels(tiny_config, 6, bundle)
+    targets = experiment.eval_target_labels(6, bundle)
     for method in _ATTACK_STAGES:
         # the load refuses a file whose originals or targets are not these
         perturbed = experiment._load_examples(tmp_path, method, bundle.query_images,

@@ -99,6 +99,8 @@ def test_loss_discriminator_frozen_values():
     assert float(loss_discriminator(perfect_real, [1.0], perfect_fake, [1.0]).values) == 0.0
     with pytest.raises(DimensionError):
         loss_discriminator(T.Tensor([0.5]), [1.0], fake, [1.0])
+    with pytest.raises(DimensionError):
+        loss_discriminator(real, [1.0], T.Tensor([0.5, 0.5, 0.5]), [1.0])
 
 
 def test_generator_loss_composition_arithmetic():

@@ -66,6 +66,8 @@ def test_shape_guards():
     with pytest.raises(DimensionError):
         T.add(T.Tensor([1.0]), T.Tensor([1.0, 2.0]))
     with pytest.raises(DimensionError):
+        T.sub(T.Tensor([[1.0, 2.0]]), T.Tensor([1.0, 2.0]))
+    with pytest.raises(DimensionError):
         T.mul(T.Tensor([[1.0]]), T.Tensor([1.0]))
     with pytest.raises(DimensionError):
         T.matmul(T.Tensor([1.0, 2.0]), T.Tensor([[1.0], [2.0]]))
