@@ -8,8 +8,10 @@ an image with one sigmoid node per class plus one realness node.
 
 Training alternates three descent steps per batch: the prototype net and
 the generator each descend (pair loss + generator loss - discriminator
-loss), then the discriminator descends its mirror image.  The attacked
-hashing model stays frozen throughout.
+loss), then the discriminator descends its mirror image.  The prototype
+step builds every term; the generator and discriminator steps build only
+the terms that depend on the network they step.  The attacked hashing
+model stays frozen throughout.
 """
 
 from dataclasses import dataclass
@@ -206,29 +208,34 @@ class AttackStack(Module):
 
 def _pick_targets(rng, labels, label_set):
     """One target per image, uniform over the label set minus the own label."""
-    choices = []
-    for own in labels:
-        candidates = [j for j, cand in enumerate(label_set) if not np.array_equal(cand, own)]
-        if not candidates:
-            raise TargetUnsatisfiableError(
-                "no target label differs from the sample's own label"
-            )
-        choices.append(candidates[int(rng.integers(0, len(candidates)))])
-    return label_set[np.asarray(choices, dtype=np.intp)]
+    differs = np.any(labels[:, None, :] != label_set[None, :, :], axis=2)
+    counts = differs.sum(axis=1)
+    if not counts.all():
+        raise TargetUnsatisfiableError("no target label differs from the sample's own label")
+    # the values and rng state of one scalar draw per row; take the k-th candidate
+    picks = rng.integers(0, counts)
+    choices = np.argmax(np.cumsum(differs, axis=1) > picks[:, None], axis=1)
+    return label_set[choices]
 
 
 class _BatchLosses:
-    """One full forward pass; losses live on the caller's tape."""
+    """One forward pass; losses live on the caller's tape.
+
+    Only the terms that depend on ``stepped`` are built, in the full pass's
+    order, so its gradient keeps its bits; ``None`` or the prototype: all.
+    """
 
     def __init__(self, stack, hash_model, code_matrix, images, true_labels,
-                 target_labels, item_labels, config):
+                 target_labels, item_labels, config, stepped=None):
         proto = stack.prototype.forward(T.Tensor(target_labels))
-        similarity = build_similarity_matrix(target_labels, item_labels)
-        self.loss_pair = loss_prototype(
-            T.transpose(proto.continuous_code), code_matrix, similarity,
-            T.transpose(proto.predicted_label), target_labels.T,
-            config.alpha1, config.alpha2, config.alpha3,
-        )
+        self.loss_pair = None
+        if stepped is None or stepped is stack.prototype:
+            similarity = build_similarity_matrix(target_labels, item_labels)
+            self.loss_pair = loss_prototype(
+                T.transpose(proto.continuous_code), code_matrix, similarity,
+                T.transpose(proto.predicted_label), target_labels.T,
+                config.alpha1, config.alpha2, config.alpha3,
+            )
 
         image_tensor = T.Tensor(images)
         self.perturbed = stack.generator.forward(image_tensor, proto.representation)
@@ -238,19 +245,34 @@ class _BatchLosses:
             mask[-1] = 1.0
         fake_scores = stack.discriminator.forward(self.perturbed)
         adv = loss_adversarial(fake_scores, target_labels, class_mask=mask)
-        recon = loss_reconstruction(image_tensor, self.perturbed)
-        gen = T.add(T.scale(recon, config.reconstruction_weight),
-                    T.scale(adv, config.adversarial_weight))
-        if not config.disable_hamming_loss:
-            code_targets = binarize(proto.continuous_code.values)
-            adv_codes = hash_model.forward(self.perturbed)
-            gen = T.add(loss_hamming(code_targets, adv_codes), gen)
+        if stepped is stack.discriminator:
+            gen = T.scale(adv, config.adversarial_weight)
+        else:
+            recon = loss_reconstruction(image_tensor, self.perturbed)
+            gen = T.add(T.scale(recon, config.reconstruction_weight),
+                        T.scale(adv, config.adversarial_weight))
+            if not config.disable_hamming_loss:
+                code_targets = binarize(proto.continuous_code.values)
+                adv_codes = hash_model.forward(self.perturbed)
+                gen = T.add(loss_hamming(code_targets, adv_codes), gen)
         self.loss_generator = gen
 
-        real_scores = stack.discriminator.forward(image_tensor)
-        self.loss_discriminator = loss_discriminator(
-            real_scores, true_labels, fake_scores, target_labels, class_mask=mask,
-        )
+        if stepped is stack.generator:
+            # the real side of the discriminator loss is constant here
+            fake_gap = _score_gap(fake_scores, target_labels, "fake", mask)
+            self.loss_discriminator = T.scale(fake_gap, 0.5)
+        else:
+            real_scores = stack.discriminator.forward(image_tensor)
+            self.loss_discriminator = loss_discriminator(
+                real_scores, true_labels, fake_scores, target_labels, class_mask=mask,
+            )
+
+    def minimax(self):
+        """Pair loss + generator loss - discriminator loss, of the built terms."""
+        descent = self.loss_generator
+        if self.loss_pair is not None:
+            descent = T.add(self.loss_pair, descent)
+        return T.sub(descent, self.loss_discriminator)
 
     def values(self):
         return (float(self.loss_pair.values),
@@ -321,24 +343,25 @@ def train_attack_gan(images, labels, label_set, hash_model, code_matrix, config,
                 stack.detach()
                 watch_parameters(tape, net)
                 losses = _BatchLosses(stack, hash_model, code_matrix, images[batch],
-                                      labels[batch], targets, labels, config)
-                pair, gen, dis = losses.values()
+                                      labels[batch], targets, labels, config, stepped=net)
                 if batch_values is None:
-                    batch_values = (pair, gen, dis)
-                if not all(np.isfinite(v) for v in (pair, gen, dis)):
-                    raise TrainingDivergedError(
-                        epoch, f"training diverged at epoch {epoch}, batch {batch_index}"
-                    )
-                minimax = T.sub(T.add(losses.loss_pair, losses.loss_generator),
-                                losses.loss_discriminator)
+                    batch_values = losses.values()
+                minimax = losses.minimax()
                 if flip:
                     minimax = T.scale(minimax, -1.0)
                 objective = T.scale(minimax, 1.0 / batch.shape[0])
+                if not np.isfinite(objective.values):
+                    raise TrainingDivergedError(
+                        epoch, f"training diverged at epoch {epoch}, batch {batch_index}"
+                    )
                 optimizer.step(T.backward(tape, objective))
             epoch_rows.append(batch_values)
         means = np.mean(np.asarray(epoch_rows), axis=0)
         history.append((epoch, float(means[0]), float(means[1]), float(means[2])))
     stack.detach()
+    # a NaN only the pruned steps skip shows at the next batch's full pass; the last has none
+    if not all(np.isfinite(p.values).all() for p in stack.parameters()):
+        raise TrainingDivergedError(epoch, "training left non-finite attack weights")
     return stack, history
 
 

@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from hashattack import gan
 from hashattack import tensor as T
 from hashattack.config import ExperimentConfig
 from hashattack.data import unique_labels
@@ -8,6 +11,7 @@ from hashattack.errors import (
     DimensionError,
     InputError,
     TargetUnsatisfiableError,
+    TrainingDivergedError,
 )
 from hashattack.gan import (
     AttackStack,
@@ -238,8 +242,7 @@ def test_minimax_objective_gradients_match_finite_differences():
         tape.watch(p)
     losses = _BatchLosses(stack, hash_model, code_matrix, batch, batch_labels,
                           targets, labels, config)
-    objective = T.scale(T.sub(T.add(losses.loss_pair, losses.loss_generator),
-                              losses.loss_discriminator), 1.0 / 3.0)
+    objective = T.scale(losses.minimax(), 1.0 / 3.0)
     grads = T.backward(tape, objective)
     analytic = [grads.wrt(p) for p in params]
     for p in params:
@@ -261,8 +264,7 @@ def test_watching_only_the_stepped_network_keeps_its_gradient_exact():
         watch_parameters(tape, *watched)
         losses = _BatchLosses(stack, hash_model, code_matrix, images[:3], labels[:3],
                               targets, labels, config)
-        minimax = T.sub(T.add(losses.loss_pair, losses.loss_generator),
-                        losses.loss_discriminator)
+        minimax = losses.minimax()
         if flip:
             minimax = T.scale(minimax, -1.0)
         grads = T.backward(tape, T.scale(minimax, 1.0 / 3.0))
@@ -275,6 +277,95 @@ def test_watching_only_the_stepped_network_keeps_its_gradient_exact():
         for a, b in zip(alone, joint):
             assert np.array_equal(a, b)
     stack.detach()
+
+
+@pytest.mark.parametrize("disable_hamming_loss", [False, True])
+@pytest.mark.parametrize("disable_discriminator_classes", [False, True])
+def test_pruned_steps_keep_the_stepped_gradient_exact(monkeypatch, disable_hamming_loss,
+                                                      disable_discriminator_classes):
+    config, hash_model, images, labels, label_set, code_matrix = _mini_setup(
+        seed=4, disable_hamming_loss=disable_hamming_loss,
+        disable_discriminator_classes=disable_discriminator_classes)
+    stack = _build_mini_stack(1, config, hash_model, 2, 2)
+    targets = label_set[np.array([0, 1, 0])]
+    calls = Counter()
+
+    def count(owner, name, term):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[term] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    count(stack.discriminator, "forward", "discriminator")
+    count(hash_model, "forward", "hash")
+    count(gan, "loss_prototype", "pair")
+    count(gan, "loss_reconstruction", "reconstruction")
+
+    def step(net, stepped, flip):
+        stack.detach()
+        calls.clear()
+        tape = T.Tape()
+        watch_parameters(tape, net)
+        losses = _BatchLosses(stack, hash_model, code_matrix, images[:3], labels[:3],
+                              targets, labels, config, stepped=stepped)
+        minimax = losses.minimax()
+        if flip:
+            minimax = T.scale(minimax, -1.0)
+        grads = T.backward(tape, T.scale(minimax, 1.0 / 3.0))
+        return [grads.wrt(p) for p in net.parameters()], len(tape.nodes), Counter(calls)
+
+    hash_forwards = 0 if disable_hamming_loss else 1
+    expected = (  # terms each step still builds
+        (stack.prototype, False, dict(discriminator=2, hash=hash_forwards, pair=1,
+                                      reconstruction=1)),
+        (stack.generator, False, dict(discriminator=1, hash=hash_forwards, pair=0,
+                                      reconstruction=1)),
+        (stack.discriminator, True, dict(discriminator=2, hash=0, pair=0, reconstruction=0)),
+    )
+    for net, flip, built in expected:
+        full, full_nodes, _ = step(net, None, flip)
+        pruned, pruned_nodes, pruned_built = step(net, net, flip)
+        assert pruned_built == Counter(built)
+        assert any(np.any(g != 0.0) for g in full)
+        for a, b in zip(pruned, full):
+            assert np.array_equal(a, b)
+        # the prototype reaches every term; the other two must prune
+        if net is stack.prototype:
+            assert pruned_nodes == full_nodes
+        else:
+            assert pruned_nodes < full_nodes
+    stack.detach()
+
+
+def _pick_targets_per_row(rng, labels, label_set):
+    """The row-by-row draw the vectorized one must reproduce bit for bit."""
+    choices = []
+    for own in labels:
+        candidates = [j for j, cand in enumerate(label_set) if not np.array_equal(cand, own)]
+        if not candidates:
+            raise TargetUnsatisfiableError("no candidate")
+        choices.append(candidates[int(rng.integers(0, len(candidates)))])
+    return label_set[np.asarray(choices, dtype=np.intp)]
+
+
+def test_pick_targets_matches_the_per_row_draw():
+    source = np.random.default_rng(17)
+    for trial in range(60):
+        classes = int(source.integers(1, 5))
+        label_set = np.unique((source.random((int(source.integers(2, 7)), classes)) < 0.5)
+                              .astype(float), axis=0)
+        if label_set.shape[0] < 2:
+            continue
+        # rows drawn from the set plus rows whose own label is not in it
+        rows = label_set[source.integers(0, label_set.shape[0], 25)]
+        outside = (source.random((5, classes)) < 0.5).astype(float) + 2.0
+        labels = source.permutation(np.concatenate([rows, outside]))
+        fast, slow = np.random.default_rng(trial), np.random.default_rng(trial)
+        assert np.array_equal(_pick_targets(fast, labels, label_set),
+                              _pick_targets_per_row(slow, labels, label_set))
+        assert fast.random() == slow.random()
 
 
 def test_pick_targets_excludes_own_label():
@@ -292,9 +383,7 @@ def test_pick_targets_uniform_over_candidates():
                           [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
     labels = np.tile([1.0, 0.0, 0.0], (10000, 1))
     targets = _pick_targets(rng, labels, label_set)
-    counts = np.array([
-        sum(np.array_equal(t, cand) for t in targets) for cand in label_set[1:]
-    ])
+    counts = np.all(targets[:, None, :] == label_set[None, 1:, :], axis=2).sum(axis=0)
     assert counts.sum() == 10000
     # three candidates: expected 10000/3 each, sigma = sqrt(n p (1-p))
     expected = 10000 / 3.0
@@ -307,6 +396,11 @@ def test_pick_targets_unsatisfiable():
     label_set = np.array([[1.0, 0.0]])
     with pytest.raises(TargetUnsatisfiableError):
         _pick_targets(rng, np.array([[1.0, 0.0]]), label_set)
+    # only a later row lacks a candidate
+    labels = np.array([[0.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
+    assert _pick_targets(rng, labels[:2], label_set).shape == (2, 2)
+    with pytest.raises(TargetUnsatisfiableError):
+        _pick_targets(rng, labels, label_set)
 
 
 def test_training_updates_all_three_networks_and_freezes_hash_model():
@@ -358,6 +452,30 @@ def test_training_input_guards():
         train_attack_gan(images, labels[:-1], label_set, hash_model,
                          code_matrix, config, 0)
 
+
+def test_training_refuses_non_finite_weights_left_by_the_last_batch(monkeypatch):
+    # one epoch, one batch: a NaN the prototype step writes into
+    # label_head is read only by the pair loss, which the generator and
+    # discriminator steps skip, so no later objective turns non-finite
+    config, hash_model, images, labels, label_set, code_matrix = _mini_setup(
+        attack_batch_size=6)
+    prototypes = []
+    create = gan.PrototypeNet.create
+    monkeypatch.setattr(gan.PrototypeNet, "create",
+                        lambda *args, **kw: prototypes.append(create(*args, **kw))
+                        or prototypes[-1])
+
+    class PoisonedAdam(gan.Adam):
+        def step(self, grads):
+            super().step(grads)
+            head = prototypes[0].label_head.weight
+            if any(p is head for p in self.params):
+                head.values[0, 0] = np.nan
+
+    monkeypatch.setattr(gan, "Adam", PoisonedAdam)
+    with pytest.raises(TrainingDivergedError) as caught:
+        train_attack_gan(images, labels, label_set, hash_model, code_matrix, config, 5)
+    assert caught.value.epoch == 0
 
 def test_targeted_examples_shapes_and_bounds():
     config, hash_model, images, labels, label_set, code_matrix = _mini_setup()
