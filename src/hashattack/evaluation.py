@@ -1,14 +1,15 @@
 """Hamming-ranked retrieval metrics.
 
 Each query set is ranked once, by ascending Hamming distance with ties
-broken by database index; AP, PR and P@N all read that one ranking.
-Average precision runs over the full ranking with the shared-class
-relevance rule, so the same machinery scores both true-label retrieval
-quality and targeted-attack success (relevance judged against the
-attack's target label).
+broken by database index, and each ranked relevance matrix is read in
+one cumulative pass that gives AP, the PR curve and P@N.  Average
+precision runs over the full ranking with the shared-class relevance
+rule, so the same machinery scores both true-label retrieval quality
+and targeted-attack success (relevance judged against the attack's
+target label).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,12 +22,11 @@ from .hashing import hamming_distances
 class EvalReport:
     """Scalars plus plot-ready curves for one query set against one database."""
 
-    t_map: float = None
+    t_map: float
+    pr_curve: list
+    precision_at_n: list
+    queries_without_relevant: int
     map: float = None
-    pr_curve: list = field(default_factory=list)
-    precision_at_n: list = field(default_factory=list)
-    perceptibility: float = None
-    queries_without_relevant: int = 0
 
 
 def rank_database(query_codes, code_matrix):
@@ -51,52 +51,16 @@ def average_precision(relevance):
 
 
 def _ranked_relevance(order, query_labels, db_labels):
-    """(queries, N) 0/1 relevance of each query's labels, in ranked order."""
+    """(queries, N) boolean relevance of each query's labels, in ranked order.
+
+    Booleans take an eighth of the memory of 0/1 floats, and every metric
+    reads them as exact counts.
+    """
     relevance = build_similarity_matrix(query_labels, db_labels)
     if relevance.shape != order.shape:
         raise DimensionError(f"(query labels, database labels) {relevance.shape} do not "
                              f"match (codes, database codes) {order.shape}")
-    return np.take_along_axis(relevance, order, axis=1)
-
-
-def _mean_ap(ranked):
-    return float(np.mean([average_precision(row) for row in ranked]))
-
-
-def _check_ranked(ranked):
-    ranked = np.asarray(ranked, dtype=np.float64)
-    if ranked.ndim != 2 or ranked.size == 0:
-        raise DimensionError(f"need a non-empty (queries, N) relevance matrix, got {ranked.shape}")
-    return ranked
-
-
-def t_map(adv_codes, target_labels, code_matrix, db_labels):
-    """Mean AP with relevance judged against each query's TARGET label."""
-    order = rank_database(adv_codes, code_matrix)
-    return _mean_ap(_ranked_relevance(order, target_labels, db_labels))
-
-
-def pr_curve(ranked):
-    """Precision and recall at every rank cutoff, averaged over queries.
-
-    ``ranked`` is a (queries, N) 0/1 relevance matrix in ranked order.
-    Queries with no relevant database item are excluded from the
-    averages (their recall is undefined); the skip count is returned so
-    reports can flag it.
-    """
-    ranked = _check_ranked(ranked)
-    totals = ranked.sum(axis=1)
-    kept = totals > 0.0
-    skipped = int(np.count_nonzero(~kept))
-    if not kept.any():
-        return [], skipped
-    hits = np.cumsum(ranked[kept], axis=1)
-    ranks = np.arange(1, ranked.shape[1] + 1)
-    precision = np.mean(hits / ranks, axis=0)
-    recall = np.mean(hits / totals[kept, None], axis=0)
-    curve = [(int(k), float(p), float(r))
-             for k, p, r in zip(ranks, precision, recall)]
-    return curve, skipped
+    return np.take_along_axis(relevance > 0.0, order, axis=1)
 
 
 def topn_grid(depth):
@@ -115,50 +79,65 @@ def topn_grid(depth):
     return grid
 
 
-def precision_at_topn(ranked):
-    """Mean precision at each ``topn_grid`` cutoff, over all queries."""
-    ranked = _check_ranked(ranked)
-    hits = np.cumsum(ranked, axis=1)
-    return [(int(n), float(np.mean(hits[:, n - 1] / n)))
-            for n in topn_grid(ranked.shape[1])]
-
-
-def perceptibility(image, perturbed):
-    """Root mean squared pixel difference: sqrt(sum of squares / pixel count)."""
-    image = np.asarray(image, dtype=np.float64)
-    perturbed = np.asarray(perturbed, dtype=np.float64)
-    if image.shape != perturbed.shape:
-        raise DimensionError(
-            f"image shapes disagree: {image.shape} vs {perturbed.shape}"
-        )
-    gap = perturbed - image
-    return float(np.sqrt(np.sum(gap * gap) / image.size))
-
-
 def mean_perceptibility(images, perturbed):
+    """Mean over rows of the RMS pixel difference, sqrt(sum of squares / pixels)."""
     images = np.asarray(images, dtype=np.float64)
     perturbed = np.asarray(perturbed, dtype=np.float64)
     if images.shape != perturbed.shape or images.ndim != 2:
         raise DimensionError(
             f"need matching (count, pixels) blocks, got {images.shape} and {perturbed.shape}"
         )
-    return float(np.mean([perceptibility(x, p) for x, p in zip(images, perturbed)]))
+    gap = perturbed - images
+    return float(np.mean(np.sqrt(np.sum(gap * gap, axis=1) / images.shape[1])))
+
+
+def _score(ranked):
+    """The report read from one cumulative sum of a ranked relevance matrix.
+
+    ``ranked`` is a (queries, N) boolean relevance matrix in ranked
+    order, and ``hits`` its row-wise cumulative count.  A query with no
+    relevant item has AP 0 and is left out of the PR curve (its recall
+    is undefined): its hits are all zero, so dividing them by 1 keeps
+    its rows zero and the column sums skip it.  One (queries, N) work
+    buffer holds recall, then precision, then precision times relevance.
+    """
+    depth = ranked.shape[1]
+    totals = ranked.sum(axis=1)
+    kept = int(np.count_nonzero(totals))
+    divisors = np.maximum(totals, 1.0)
+    ranks = np.arange(1, depth + 1)
+    hits = np.cumsum(ranked, axis=1)
+    precision_at_n = [(n, float(np.mean(hits[:, n - 1] / n))) for n in topn_grid(depth)]
+    work = hits / divisors[:, None]
+    recall = work.sum(axis=0)
+    np.divide(hits, ranks, out=work)
+    precision = work.sum(axis=0)
+    work *= ranked
+    curve = []
+    if kept:
+        curve = [(int(k), float(p), float(r))
+                 for k, p, r in zip(ranks, precision / kept, recall / kept)]
+    return EvalReport(
+        t_map=float(np.mean(work.sum(axis=1) / divisors)),
+        pr_curve=curve,
+        precision_at_n=precision_at_n,
+        queries_without_relevant=ranked.shape[0] - kept,
+    )
 
 
 def evaluate_queries(query_codes, relevance_labels, code_matrix, db_labels,
-                     true_labels=None, originals=None, perturbed=None):
-    """Full report for one query set; optional blocks fill the extra fields."""
+                     true_labels=None):
+    """The report for one query set; ``true_labels`` adds the MAP.
+
+    This is the one place a query set is ranked.
+    """
     order = rank_database(query_codes, code_matrix)
-    ranked = _ranked_relevance(order, relevance_labels, db_labels)
-    curve, skipped = pr_curve(ranked)
-    report = EvalReport(
-        t_map=_mean_ap(ranked),
-        pr_curve=curve,
-        precision_at_n=precision_at_topn(ranked),
-        queries_without_relevant=skipped,
-    )
+    report = _score(_ranked_relevance(order, relevance_labels, db_labels))
     if true_labels is not None:
-        report.map = _mean_ap(_ranked_relevance(order, true_labels, db_labels))
-    if originals is not None and perturbed is not None:
-        report.perceptibility = mean_perceptibility(originals, perturbed)
+        report.map = _score(_ranked_relevance(order, true_labels, db_labels)).t_map
     return report
+
+
+def t_map(adv_codes, target_labels, code_matrix, db_labels):
+    """Mean AP with relevance judged against each query's TARGET label."""
+    return evaluate_queries(adv_codes, target_labels, code_matrix, db_labels).t_map

@@ -25,7 +25,7 @@ from .checkpoint import (
 from .data import gen_synthetic_dataset, load_bundle, load_npz, save_bundle, unique_labels
 from .errors import (CheckpointCorruptError, CheckpointMismatchError,
                      CheckpointMissingError, InputError)
-from .evaluation import evaluate_queries, t_map
+from .evaluation import evaluate_queries, mean_perceptibility
 from .gan import _pick_targets, targeted_examples, train_attack_gan
 from .hashing import encode_database, train_target_model
 
@@ -229,11 +229,11 @@ def stage_attack(config, seed, out, method):
     return {"count": count, "mean_generation_seconds": latency}
 
 
-def _method_row(report):
+def _method_row(report, perceptibility=None):
     return {
         "t_map": report.t_map,
         "map": report.map,
-        "perceptibility": report.perceptibility,
+        "perceptibility": perceptibility,
         "queries_without_relevant": report.queries_without_relevant,
     }
 
@@ -253,10 +253,10 @@ def stage_eval(config, seed, out):
     original_codes = model.codes(bundle.query_images)
     curves["retrieval"] = evaluate_queries(original_codes, bundle.query_labels,
                                            matrix, db_labels)
-    methods["Original"] = evaluate_queries(original_codes, targets, matrix,
-                                           db_labels,
-                                           true_labels=bundle.query_labels)
-    curves["original"] = methods["Original"]
+    curves["original"] = evaluate_queries(original_codes, targets, matrix,
+                                          db_labels,
+                                          true_labels=bundle.query_labels)
+    methods["Original"] = _method_row(curves["original"])
 
     for name, slug in (("Noise", "noise"), ("P2P", "p2p"), ("DHTA", "dhta"),
                        ("ProS-GAN", "prosgan")):
@@ -264,12 +264,11 @@ def stage_eval(config, seed, out):
         if not path.is_file():
             continue
         perturbed = _load_examples(out, slug, bundle.query_images, targets)
-        methods[name] = evaluate_queries(model.codes(perturbed), targets, matrix,
-                                         db_labels,
-                                         true_labels=bundle.query_labels,
-                                         originals=bundle.query_images,
-                                         perturbed=perturbed)
-        curves[slug] = methods[name]
+        curves[slug] = evaluate_queries(model.codes(perturbed), targets, matrix,
+                                        db_labels,
+                                        true_labels=bundle.query_labels)
+        methods[name] = _method_row(
+            curves[slug], mean_perceptibility(bundle.query_images, perturbed))
 
     # upper references: rank by the chosen target codes themselves
     anchor_rng = stage_rng(seed, "anchor")
@@ -278,24 +277,23 @@ def stage_eval(config, seed, out):
                               config.anchor_set_size)
         for target in targets
     ])
-    methods["Anchor-code"] = evaluate_queries(anchor_codes, targets, matrix,
-                                              db_labels)
-    curves["anchor"] = methods["Anchor-code"]
+    curves["anchor"] = evaluate_queries(anchor_codes, targets, matrix, db_labels)
+    methods["Anchor-code"] = _method_row(curves["anchor"])
 
     stack_path = out / "attack_stack.json"
     if stack_path.is_file():
         stack = _load_stack(config, seed, out)
         proto_codes = np.stack([stack.prototype.prototype_code(target)
                                 for target in targets])
-        methods["Prototype-code"] = evaluate_queries(proto_codes, targets,
-                                                     matrix, db_labels)
-        curves["prototype"] = methods["Prototype-code"]
+        curves["prototype"] = evaluate_queries(proto_codes, targets, matrix,
+                                               db_labels)
+        methods["Prototype-code"] = _method_row(curves["prototype"])
 
     report = {
         "seed": int(seed),
         "config_hash": config.config_hash(),
         "retrieval_map": curves["retrieval"].t_map,
-        "methods": {name: _method_row(row) for name, row in methods.items()},
+        "methods": methods,
     }
     _write_json(out / "report.json", report)
     for slug, row in curves.items():
@@ -320,10 +318,10 @@ def stage_transfer_eval(config, seed, out):
                     config_hash=config.config_hash(),
                     meta={"final_loss": losses[-1]})
     matrix_b = encode_database(model_b, bundle.database_images)
-    original_t = t_map(model_b.codes(bundle.query_images), targets, matrix_b,
-                       bundle.database_labels)
-    adversarial_t = t_map(model_b.codes(perturbed), targets, matrix_b,
-                          bundle.database_labels)
+    original_t = evaluate_queries(model_b.codes(bundle.query_images), targets,
+                                  matrix_b, bundle.database_labels).t_map
+    adversarial_t = evaluate_queries(model_b.codes(perturbed), targets, matrix_b,
+                                     bundle.database_labels).t_map
     report = {
         "seed": int(seed),
         "config_hash": config.config_hash(),

@@ -67,7 +67,7 @@ class Generator(Module):
         self.output_head = output_head
 
     @classmethod
-    def create(cls, rng, representation_width, pixels, decoder_hidden=128, bottleneck=128):
+    def create(cls, rng, representation_width, pixels, decoder_hidden, bottleneck):
         decoder = MLP.create(rng, [representation_width, decoder_hidden, pixels],
                              ["relu", "sigmoid"])
         core = MLP.create(rng, [2 * pixels, bottleneck, pixels], ["relu", "relu"])
@@ -117,7 +117,7 @@ class Discriminator(Module):
         self.classes = classes
 
     @classmethod
-    def create(cls, rng, pixels, classes, hidden=(64,)):
+    def create(cls, rng, pixels, classes, hidden):
         widths = [pixels, *hidden, classes + 1]
         activations = ["relu"] * len(hidden) + ["sigmoid"]
         return cls(MLP.create(rng, widths, activations), classes)

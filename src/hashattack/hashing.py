@@ -50,7 +50,7 @@ class HashModel(Module):
         self.net = net
 
     @classmethod
-    def create(cls, rng, input_width, code_length, hidden_widths=(128, 64)):
+    def create(cls, rng, input_width, code_length, hidden_widths):
         widths = [input_width, *hidden_widths, code_length]
         activations = ["tanh"] * (len(widths) - 1)
         return cls(MLP.create(rng, widths, activations))

@@ -43,8 +43,8 @@ class PrototypeNet(Module):
         self.label_head = label_head
 
     @classmethod
-    def create(cls, rng, classes, code_length, hidden_widths=(64, 32),
-               representation_width=32):
+    def create(cls, rng, classes, code_length, hidden_widths,
+               representation_width):
         widths = [classes, *hidden_widths, representation_width]
         trunk = MLP.create(rng, widths, ["relu"] * (len(widths) - 1))
         code_head = DenseLayer.create(rng, representation_width, code_length, "tanh")

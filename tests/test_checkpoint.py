@@ -207,7 +207,8 @@ def test_cross_kind_loads_are_rejected(tmp_path, rng):
     with pytest.raises(CheckpointMismatchError):
         load_hash_model(stack_path)
     model_path = tmp_path / "hash.json"
-    save_hash_model(model_path, HashModel.create(np.random.default_rng(0), 4, 3))
+    save_hash_model(model_path, HashModel.create(np.random.default_rng(0), 4, 3,
+                                                 hidden_widths=(128, 64)))
     with pytest.raises(CheckpointMismatchError):
         load_attack_stack(model_path)
 

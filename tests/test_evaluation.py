@@ -10,9 +10,6 @@ from hashattack.evaluation import (
     average_precision,
     evaluate_queries,
     mean_perceptibility,
-    perceptibility,
-    pr_curve,
-    precision_at_topn,
     rank_database,
     t_map,
     topn_grid,
@@ -105,15 +102,16 @@ def test_t_map_zero_without_relevant_items():
 
 
 def test_pr_curve_worked_example():
-    curve, skipped = pr_curve(_ranked(*_single_query_setup()))
-    assert skipped == 0
+    report = evaluate_queries(*_single_query_setup())
+    assert report.queries_without_relevant == 0
     expected = [
         (1, 1.0, 0.5),
         (2, 0.5, 0.5),
         (3, 2.0 / 3.0, 1.0),
         (4, 0.5, 1.0),
     ]
-    for got, want in zip(curve, expected):
+    assert len(report.pr_curve) == len(expected)
+    for got, want in zip(report.pr_curve, expected):
         assert got[0] == want[0]
         assert got[1] == pytest.approx(want[1])
         assert got[2] == pytest.approx(want[2])
@@ -125,16 +123,17 @@ def test_pr_curve_skips_queries_without_relevant_items():
     labels = np.array([[1.0, 0.0], [0.0, 0.0]])
     labels[1] = [0.0, 1.0]
     db_labels = np.array([[1.0, 0.0]] * 4)  # second query matches nothing
-    curve, skipped = pr_curve(_ranked(codes, labels, matrix, db_labels))
-    assert skipped == 1
-    assert curve[0][1] == pytest.approx(1.0)  # average over the one kept query
+    report = evaluate_queries(codes, labels, matrix, db_labels)
+    assert report.queries_without_relevant == 1
+    assert report.pr_curve[0][1] == pytest.approx(1.0)  # average over the one kept query
 
 
 def test_pr_curve_all_queries_hopeless():
     codes, labels, matrix, db_labels = _single_query_setup()
     db_labels = np.tile([0.0, 1.0], (4, 1))
-    curve, skipped = pr_curve(_ranked(codes, labels, matrix, db_labels))
-    assert curve == [] and skipped == 1
+    report = evaluate_queries(codes, labels, matrix, db_labels)
+    assert report.pr_curve == [] and report.queries_without_relevant == 1
+    assert report.t_map == 0.0
 
 
 def test_topn_grid_ladder():
@@ -150,23 +149,29 @@ def test_topn_grid_ladder():
 def test_precision_at_topn_worked_example():
     # topn_grid(4) is [1, 4]; the PR-curve worked example's precision
     # column pins cutoffs 2 and 3
-    values = precision_at_topn(_ranked(*_single_query_setup()))
+    values = evaluate_queries(*_single_query_setup()).precision_at_n
     expected = [1.0, 0.5]
+    assert len(values) == len(expected)
     for (cutoff, value), want in zip(values, expected):
         assert value == pytest.approx(want)
 
 
 def test_precision_at_topn_default_grid():
-    values = precision_at_topn(_ranked(*_single_query_setup()))
+    values = evaluate_queries(*_single_query_setup()).precision_at_n
     assert [cutoff for cutoff, _ in values] == [1, 4]
 
 
 def test_perceptibility_examples(rng):
-    image = rng.random(64)
-    assert perceptibility(image, image) == 0.0
-    assert perceptibility(image, image + 0.1) == pytest.approx(0.1)
+    image = rng.random((1, 64))
+    assert mean_perceptibility(image, image) == 0.0
+    assert mean_perceptibility(image, image + 0.1) == pytest.approx(0.1)
+    gap = np.zeros((1, 64))
+    gap[0, :16] = 0.4  # sqrt(16 * 0.16 / 64)
+    assert mean_perceptibility(image, image + gap) == pytest.approx(0.2)
     with pytest.raises(DimensionError):
-        perceptibility(image, image[:10])
+        mean_perceptibility(image, image[:, :10])
+    with pytest.raises(DimensionError):
+        mean_perceptibility(image[0], image[0])
 
 
 def test_mean_perceptibility_averages_per_image(rng):
@@ -186,21 +191,16 @@ def test_metric_input_guards():
         t_map(codes, np.vstack([labels, labels]), matrix, db_labels)
 
 
-def test_evaluate_queries_full_report(rng):
+def test_evaluate_queries_full_report():
     codes, labels, matrix, db_labels = _single_query_setup()
-    originals = rng.random((1, 16))
-    perturbed = np.clip(originals + 0.05, 0.0, 1.0)
-    report = evaluate_queries(
-        codes, labels, matrix, db_labels,
-        true_labels=np.array([[0.0, 1.0]]),
-        originals=originals, perturbed=perturbed,
-    )
+    report = evaluate_queries(codes, labels, matrix, db_labels,
+                              true_labels=np.array([[0.0, 1.0]]))
     assert report.t_map == pytest.approx(5.0 / 6.0)
     assert report.map == pytest.approx(average_precision([0, 1, 0, 1]))
     assert len(report.pr_curve) == 4
     assert report.precision_at_n[0][0] == 1
-    assert report.perceptibility is not None
     assert report.queries_without_relevant == 0
+    assert evaluate_queries(codes, labels, matrix, db_labels).map is None
 
 
 def _random_setup(rng, queries=12, bits=4, items=40, classes=3):
@@ -235,8 +235,9 @@ def _oracle_report(codes, labels, matrix, db_labels, true_labels):
 
 
 def test_evaluate_queries_equals_per_query_oracle(rng):
-    for _ in range(20):
-        codes, labels, matrix, db_labels = _random_setup(rng)
+    # rows longer than numpy's 128-element pairwise-summation block too
+    for items in [40] * 10 + [300] * 10:
+        codes, labels, matrix, db_labels = _random_setup(rng, items=items)
         true_labels = np.eye(3)[rng.integers(0, 3, len(codes))]
         report = evaluate_queries(codes, labels, matrix, db_labels,
                                   true_labels=true_labels)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hashattack import experiment
+from hashattack import evaluation, experiment
 from hashattack.config import ExperimentConfig
 from hashattack.data import gen_synthetic_dataset, load_bundle, save_bundle
 from hashattack.errors import (
@@ -99,7 +99,13 @@ def test_full_pipeline_outputs(tiny_config, tmp_path):
     for name, row in report["methods"].items():
         assert 0.0 <= row["t_map"] <= 1.0, name
     assert report["methods"]["Original"]["perceptibility"] is None
-    assert report["methods"]["ProS-GAN"]["perceptibility"] > 0.0
+    for name, slug in (("Noise", "noise"), ("P2P", "p2p"), ("DHTA", "dhta"),
+                       ("ProS-GAN", "prosgan")):
+        with np.load(tmp_path / f"adversarial_{slug}.npz") as blob:
+            distortion = evaluation.mean_perceptibility(blob["originals"],
+                                                        blob["perturbed"])
+        assert distortion > 0.0, name
+        assert report["methods"][name]["perceptibility"] == distortion, name
     assert 0.0 <= report["retrieval_map"] <= 1.0
 
     transfer = json.loads((tmp_path / "transfer_report.json").read_text())
@@ -119,6 +125,27 @@ def test_full_pipeline_outputs(tiny_config, tmp_path):
     assert curve_header == "cutoff,precision,recall"
     topn_header = (tmp_path / "topn_prosgan.csv").read_text().splitlines()[0]
     assert topn_header == "N,precision"
+
+
+def test_every_ranking_goes_through_evaluate_queries(tiny_config, tmp_path,
+                                                     monkeypatch):
+    calls = {"rank_database": 0, "evaluate_queries": 0}
+    rank_database = evaluation.rank_database
+    evaluate_queries = experiment.evaluate_queries
+
+    def counting_rank(*args, **kwargs):
+        calls["rank_database"] += 1
+        return rank_database(*args, **kwargs)
+
+    def counting_evaluate(*args, **kwargs):
+        calls["evaluate_queries"] += 1
+        return evaluate_queries(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "rank_database", counting_rank)
+    monkeypatch.setattr(experiment, "evaluate_queries", counting_evaluate)
+    experiment.run_experiment(tiny_config, 9, tmp_path)
+    # eval scores eight query sets and transfer-eval two
+    assert calls == {"rank_database": 10, "evaluate_queries": 10}
 
 
 def test_hash_and_transfer_models_take_their_configured_shapes(tiny_config, tmp_path):

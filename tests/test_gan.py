@@ -154,7 +154,7 @@ def test_generator_forward_deterministic_and_bounded(rng):
 
 
 def test_generator_guards(rng):
-    gen = Generator.create(rng, 3, 5)
+    gen = Generator.create(rng, 3, 5, decoder_hidden=128, bottleneck=128)
     with pytest.raises(DimensionError):
         gen.forward(np.zeros((2, 5)), np.zeros((3, 3)))
     with pytest.raises(DimensionError):

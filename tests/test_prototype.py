@@ -30,7 +30,7 @@ def test_zero_network_outputs():
 
 
 def test_forward_is_deterministic(rng):
-    net = PrototypeNet.create(rng, 4, 6)
+    net = PrototypeNet.create(rng, 4, 6, hidden_widths=(64, 32), representation_width=32)
     y = np.array([[0.0, 1.0, 0.0, 1.0]])
     a = _output_values(net, y)
     b = _output_values(net, y)
@@ -39,7 +39,7 @@ def test_forward_is_deterministic(rng):
 
 
 def test_all_zero_label_rejected(rng):
-    net = PrototypeNet.create(rng, 3, 4)
+    net = PrototypeNet.create(rng, 3, 4, hidden_widths=(64, 32), representation_width=32)
     with pytest.raises(InputError):
         net.forward(np.zeros((1, 3)))
     with pytest.raises(InputError):
@@ -64,7 +64,7 @@ def test_forward_matches_straight_line_oracle(rng):
 
 
 def test_traced_and_untraced_forward_agree(rng):
-    net = PrototypeNet.create(rng, 4, 5)
+    net = PrototypeNet.create(rng, 4, 5, hidden_widths=(64, 32), representation_width=32)
     y = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
     tape = T.Tape()
     watch_parameters(tape, net)
@@ -168,9 +168,10 @@ def test_loss_gradients_match_finite_differences(rng):
 
 
 def test_export_import_round_trip(rng):
-    net = PrototypeNet.create(rng, 4, 6)
+    net = PrototypeNet.create(rng, 4, 6, hidden_widths=(64, 32), representation_width=32)
     blob = net.state_dict()
-    other = PrototypeNet.create(np.random.default_rng(123), 4, 6)
+    other = PrototypeNet.create(np.random.default_rng(123), 4, 6, hidden_widths=(64, 32),
+                                representation_width=32)
     other.load_state_dict(blob)
     y = np.array([[1.0, 0.0, 0.0, 1.0]])
     for a, b in zip(_output_values(net, y), _output_values(other, y)):
