@@ -1,12 +1,12 @@
 """Hamming-ranked retrieval metrics.
 
-Each query set is ranked once, by ascending Hamming distance with ties
-broken by database index, and each ranked relevance matrix is read in
-one cumulative pass that gives AP, the PR curve and P@N.  Average
-precision runs over the full ranking with the shared-class relevance
-rule, so the same machinery scores both true-label retrieval quality
-and targeted-attack success (relevance judged against the attack's
-target label).
+Each query block is ranked once, by ascending Hamming distance with ties
+broken by database index, and every label set is read from that one
+ranking: each ranked relevance matrix goes through one cumulative pass
+that gives AP, the PR curve and P@N.  Average precision runs over the
+full ranking with the shared-class relevance rule, so the same machinery
+scores both targeted-attack success (t-MAP, relevance judged against the
+attack's target label) and true-label retrieval quality (MAP).
 """
 
 from dataclasses import dataclass
@@ -20,13 +20,12 @@ from .hashing import hamming_distances
 
 @dataclass
 class EvalReport:
-    """Scalars plus plot-ready curves for one query set against one database."""
+    """Scalars plus plot-ready curves for one query block and one label set."""
 
-    t_map: float
+    mean_ap: float
     pr_curve: list
     precision_at_n: list
     queries_without_relevant: int
-    map: float = None
 
 
 def rank_database(query_codes, code_matrix):
@@ -118,26 +117,19 @@ def _score(ranked):
         curve = [(int(k), float(p), float(r))
                  for k, p, r in zip(ranks, precision / kept, recall / kept)]
     return EvalReport(
-        t_map=float(np.mean(work.sum(axis=1) / divisors)),
+        mean_ap=float(np.mean(work.sum(axis=1) / divisors)),
         pr_curve=curve,
         precision_at_n=precision_at_n,
         queries_without_relevant=ranked.shape[0] - kept,
     )
 
 
-def evaluate_queries(query_codes, relevance_labels, code_matrix, db_labels,
-                     true_labels=None):
-    """The report for one query set; ``true_labels`` adds the MAP.
+def evaluate_queries(query_codes, code_matrix, db_labels, *label_sets):
+    """One report per label set, all read from one ranking of the query block.
 
-    This is the one place a query set is ranked.
+    This is the one place a query block is ranked.
     """
+    if not label_sets:
+        raise InputError("need at least one label set to judge relevance by")
     order = rank_database(query_codes, code_matrix)
-    report = _score(_ranked_relevance(order, relevance_labels, db_labels))
-    if true_labels is not None:
-        report.map = _score(_ranked_relevance(order, true_labels, db_labels)).t_map
-    return report
-
-
-def t_map(adv_codes, target_labels, code_matrix, db_labels):
-    """Mean AP with relevance judged against each query's TARGET label."""
-    return evaluate_queries(adv_codes, target_labels, code_matrix, db_labels).t_map
+    return [_score(_ranked_relevance(order, labels, db_labels)) for labels in label_sets]

@@ -27,7 +27,7 @@ from .errors import (CheckpointCorruptError, CheckpointMismatchError,
                      CheckpointMissingError, InputError)
 from .evaluation import evaluate_queries, mean_perceptibility
 from .gan import _pick_targets, targeted_examples, train_attack_gan
-from .hashing import encode_database, train_target_model
+from .hashing import binarize, encode_database, train_target_model
 
 # child-stream indices under the run seed; shared draws must reuse the
 # same index from every stage that needs them
@@ -229,34 +229,37 @@ def stage_attack(config, seed, out, method):
     return {"count": count, "mean_generation_seconds": latency}
 
 
-def _method_row(report, perceptibility=None):
+def _method_row(report, true_report=None, perceptibility=None):
+    """A report row: t-MAP from ``report``, MAP from ``true_report`` if scored."""
     return {
-        "t_map": report.t_map,
-        "map": report.map,
+        "t_map": report.mean_ap,
+        "map": None if true_report is None else true_report.mean_ap,
         "perceptibility": perceptibility,
         "queries_without_relevant": report.queries_without_relevant,
     }
 
 
 def stage_eval(config, seed, out):
-    """Score every available query set and write the run report."""
+    """Score every available query block and write the run report.
+
+    Each block is ranked once.  The original and attacked blocks are judged
+    against the targets and the true labels; the Original row's true-label
+    report is the retrieval baseline.
+    """
     out = Path(out)
     bundle = _load_data(out)
     model = _load_hash(config, seed, out)
     matrix = _load_codes(out)
     db_labels = bundle.database_labels
+    labels = bundle.query_labels
     targets = eval_target_labels(seed, bundle)
 
     methods = {}
     curves = {}
 
-    original_codes = model.codes(bundle.query_images)
-    curves["retrieval"] = evaluate_queries(original_codes, bundle.query_labels,
-                                           matrix, db_labels)
-    curves["original"] = evaluate_queries(original_codes, targets, matrix,
-                                          db_labels,
-                                          true_labels=bundle.query_labels)
-    methods["Original"] = _method_row(curves["original"])
+    curves["original"], curves["retrieval"] = evaluate_queries(
+        model.codes(bundle.query_images), matrix, db_labels, targets, labels)
+    methods["Original"] = _method_row(curves["original"], curves["retrieval"])
 
     for name, slug in (("Noise", "noise"), ("P2P", "p2p"), ("DHTA", "dhta"),
                        ("ProS-GAN", "prosgan")):
@@ -264,11 +267,10 @@ def stage_eval(config, seed, out):
         if not path.is_file():
             continue
         perturbed = _load_examples(out, slug, bundle.query_images, targets)
-        curves[slug] = evaluate_queries(model.codes(perturbed), targets, matrix,
-                                        db_labels,
-                                        true_labels=bundle.query_labels)
-        methods[name] = _method_row(
-            curves[slug], mean_perceptibility(bundle.query_images, perturbed))
+        curves[slug], true_report = evaluate_queries(model.codes(perturbed), matrix,
+                                                     db_labels, targets, labels)
+        methods[name] = _method_row(curves[slug], true_report,
+                                    mean_perceptibility(bundle.query_images, perturbed))
 
     # upper references: rank by the chosen target codes themselves
     anchor_rng = stage_rng(seed, "anchor")
@@ -277,22 +279,20 @@ def stage_eval(config, seed, out):
                               config.anchor_set_size)
         for target in targets
     ])
-    curves["anchor"] = evaluate_queries(anchor_codes, targets, matrix, db_labels)
+    curves["anchor"] = evaluate_queries(anchor_codes, matrix, db_labels, targets)[0]
     methods["Anchor-code"] = _method_row(curves["anchor"])
 
     stack_path = out / "attack_stack.json"
     if stack_path.is_file():
         stack = _load_stack(config, seed, out)
-        proto_codes = np.stack([stack.prototype.prototype_code(target)
-                                for target in targets])
-        curves["prototype"] = evaluate_queries(proto_codes, targets, matrix,
-                                               db_labels)
+        proto_codes = binarize(stack.prototype.forward(targets).continuous_code.values)
+        curves["prototype"] = evaluate_queries(proto_codes, matrix, db_labels, targets)[0]
         methods["Prototype-code"] = _method_row(curves["prototype"])
 
     report = {
         "seed": int(seed),
         "config_hash": config.config_hash(),
-        "retrieval_map": curves["retrieval"].t_map,
+        "retrieval_map": curves["retrieval"].mean_ap,
         "methods": methods,
     }
     _write_json(out / "report.json", report)
@@ -318,10 +318,10 @@ def stage_transfer_eval(config, seed, out):
                     config_hash=config.config_hash(),
                     meta={"final_loss": losses[-1]})
     matrix_b = encode_database(model_b, bundle.database_images)
-    original_t = evaluate_queries(model_b.codes(bundle.query_images), targets,
-                                  matrix_b, bundle.database_labels).t_map
-    adversarial_t = evaluate_queries(model_b.codes(perturbed), targets, matrix_b,
-                                     bundle.database_labels).t_map
+    original_t = evaluate_queries(model_b.codes(bundle.query_images), matrix_b,
+                                  bundle.database_labels, targets)[0].mean_ap
+    adversarial_t = evaluate_queries(model_b.codes(perturbed), matrix_b,
+                                     bundle.database_labels, targets)[0].mean_ap
     report = {
         "seed": int(seed),
         "config_hash": config.config_hash(),

@@ -171,10 +171,10 @@ def loss_adversarial(discriminator_scores, target_labels, class_mask=None):
     return _score_gap(discriminator_scores, target_labels, "real", class_mask)
 
 
-def loss_discriminator(real_scores, true_labels, fake_scores, target_labels,
+def loss_discriminator(real_scores, real_labels, fake_scores, target_labels,
                        class_mask=None):
     """Half the summed squared gaps to [y, 0] for real and [y_t, 1] for fake."""
-    real_gap = _score_gap(real_scores, true_labels, "real", class_mask)
+    real_gap = _score_gap(real_scores, real_labels, "real", class_mask)
     fake_gap = _score_gap(fake_scores, target_labels, "fake", class_mask)
     return T.scale(T.add(real_gap, fake_gap), 0.5)
 
@@ -225,7 +225,7 @@ class _BatchLosses:
     order, so its gradient keeps its bits; ``None`` or the prototype: all.
     """
 
-    def __init__(self, stack, hash_model, code_matrix, images, true_labels,
+    def __init__(self, stack, hash_model, code_matrix, images, real_labels,
                  target_labels, item_labels, config, stepped=None):
         proto = stack.prototype.forward(T.Tensor(target_labels))
         self.loss_pair = None
@@ -264,7 +264,7 @@ class _BatchLosses:
         else:
             real_scores = stack.discriminator.forward(image_tensor)
             self.loss_discriminator = loss_discriminator(
-                real_scores, true_labels, fake_scores, target_labels, class_mask=mask,
+                real_scores, real_labels, fake_scores, target_labels, class_mask=mask,
             )
 
     def minimax(self):

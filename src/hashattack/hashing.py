@@ -104,8 +104,9 @@ def train_target_model(images, labels, code_length, hidden_widths, config, rng):
     """
     images = np.asarray(images, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
-    if images.ndim != 2 or images.shape[0] == 0:
-        raise InputError("training set must be a non-empty (N, pixels) array")
+    if images.ndim != 2 or images.shape[0] < 2:
+        # the pairwise loss needs a pair, so one image would train nothing
+        raise InputError("training set must be an (N, pixels) array of at least two images")
     if labels.shape[0] != images.shape[0]:
         raise DimensionError(
             f"got {images.shape[0]} images but {labels.shape[0]} label rows"

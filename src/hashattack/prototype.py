@@ -82,11 +82,6 @@ class PrototypeNet(Module):
             predicted_label=self.label_head.forward(rep),
         )
 
-    def prototype_code(self, label):
-        """Binary prototype code for one label vector."""
-        label = np.asarray(label, dtype=np.float64).reshape(1, -1)
-        return binarize(self.forward(label).continuous_code.values[0])
-
     def parts(self):
         return [("trunk.", self.trunk), ("code_head.", self.code_head),
                 ("label_head.", self.label_head)]
@@ -101,13 +96,13 @@ class PrototypeNet(Module):
 
 
 def loss_prototype(continuous_codes, code_matrix, similarity, predicted_labels,
-                   true_labels, alpha1=1.0, alpha2=1e-4, alpha3=1.0):
+                   labels, alpha1=1.0, alpha2=1e-4, alpha3=1.0):
     """Prototype training loss over column-major operands.
 
     ``continuous_codes`` is a traced (K, M) tensor of tanh outputs,
     ``code_matrix`` the constant (K, N) database codes, ``similarity``
     the (M, N) 0/1 relevance between prototype labels and items, and
-    ``predicted_labels``/``true_labels`` are (C, M).  Three addends:
+    ``predicted_labels``/``labels`` are (C, M).  Three addends:
 
     - pair term: log(1 + exp(omega)) - s * omega over all (i, j) with
       omega = half the code inner product,
@@ -119,7 +114,7 @@ def loss_prototype(continuous_codes, code_matrix, similarity, predicted_labels,
     pair = T.total(T.sub(T.softplus(omega), T.mul(T.Tensor(similarity), omega)))
     sign_target = T.Tensor(binarize(continuous_codes.values))
     quantization = T.total(T.square(T.sub(continuous_codes, sign_target)))
-    classification = T.total(T.square(T.sub(predicted_labels, T.Tensor(true_labels))))
+    classification = T.total(T.square(T.sub(predicted_labels, T.Tensor(labels))))
     return T.add(
         T.add(T.scale(pair, alpha1), T.scale(quantization, alpha2)),
         T.scale(classification, alpha3),

@@ -30,7 +30,7 @@ from hashattack.checkpoint import (
 from hashattack.config import ExperimentConfig
 from hashattack.data import load_bundle, unique_labels
 from hashattack.errors import CheckpointError
-from hashattack.evaluation import average_precision, mean_perceptibility, t_map
+from hashattack.evaluation import average_precision, evaluate_queries, mean_perceptibility
 from hashattack.experiment import (
     STAGE_ORDER,
     eval_target_labels,
@@ -109,8 +109,8 @@ def gan_variants(pipeline):
             train_codes, gan_config, stage_rng(SEED, "attack"),
         )
         perturbed = targeted_examples(stack, bundle.query_images, targets)
-        score = t_map(model.codes(perturbed), targets, matrix,
-                      bundle.database_labels)
+        score = evaluate_queries(model.codes(perturbed), matrix,
+                                 bundle.database_labels, targets)[0].mean_ap
         return score, mean_perceptibility(bundle.query_images, perturbed)
 
     return SimpleNamespace(
@@ -313,7 +313,7 @@ def test_criterion_04_average_precision_oracle(rng):
         db_labels[rng.integers(db_size), rng.integers(3)] = 1.0
         codes = _signs(rng, (queries, code_length))
         labels = np.eye(3)[rng.integers(3, size=queries)]
-        produced = t_map(codes, labels, matrix, db_labels)
+        produced = evaluate_queries(codes, matrix, db_labels, labels)[0].mean_ap
         expected = np.mean([
             _quadratic_ap(
                 [float(np.sum(code != column)) for column in matrix.T],

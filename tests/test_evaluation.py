@@ -11,7 +11,6 @@ from hashattack.evaluation import (
     evaluate_queries,
     mean_perceptibility,
     rank_database,
-    t_map,
     topn_grid,
 )
 from hashattack.hashing import hamming_distances
@@ -77,6 +76,11 @@ def _single_query_setup():
     return query_codes, query_labels, code_matrix, db_labels
 
 
+def _report(codes, labels, matrix, db_labels):
+    """The one report of a single label set."""
+    return evaluate_queries(codes, matrix, db_labels, labels)[0]
+
+
 def _ranked(codes, labels, matrix, db_labels):
     """The (queries, N) relevance matrix in ranked order, one query at a time."""
     relevance = build_similarity_matrix(labels, db_labels)
@@ -86,23 +90,23 @@ def _ranked(codes, labels, matrix, db_labels):
 
 def test_t_map_single_query_equals_average_precision():
     codes, labels, matrix, db_labels = _single_query_setup()
-    assert t_map(codes, labels, matrix, db_labels) == pytest.approx(5.0 / 6.0)
+    assert _report(codes, labels, matrix, db_labels).mean_ap == pytest.approx(5.0 / 6.0)
 
 
 def test_t_map_is_one_when_relevant_items_rank_first():
     codes, labels, matrix, db_labels = _single_query_setup()
     db_labels = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-    assert t_map(codes, labels, matrix, db_labels) == pytest.approx(1.0)
+    assert _report(codes, labels, matrix, db_labels).mean_ap == pytest.approx(1.0)
 
 
 def test_t_map_zero_without_relevant_items():
     codes, labels, matrix, db_labels = _single_query_setup()
     db_labels = np.tile([0.0, 1.0], (4, 1))
-    assert t_map(codes, labels, matrix, db_labels) == 0.0
+    assert _report(codes, labels, matrix, db_labels).mean_ap == 0.0
 
 
 def test_pr_curve_worked_example():
-    report = evaluate_queries(*_single_query_setup())
+    report = _report(*_single_query_setup())
     assert report.queries_without_relevant == 0
     expected = [
         (1, 1.0, 0.5),
@@ -123,7 +127,7 @@ def test_pr_curve_skips_queries_without_relevant_items():
     labels = np.array([[1.0, 0.0], [0.0, 0.0]])
     labels[1] = [0.0, 1.0]
     db_labels = np.array([[1.0, 0.0]] * 4)  # second query matches nothing
-    report = evaluate_queries(codes, labels, matrix, db_labels)
+    report = _report(codes, labels, matrix, db_labels)
     assert report.queries_without_relevant == 1
     assert report.pr_curve[0][1] == pytest.approx(1.0)  # average over the one kept query
 
@@ -131,9 +135,9 @@ def test_pr_curve_skips_queries_without_relevant_items():
 def test_pr_curve_all_queries_hopeless():
     codes, labels, matrix, db_labels = _single_query_setup()
     db_labels = np.tile([0.0, 1.0], (4, 1))
-    report = evaluate_queries(codes, labels, matrix, db_labels)
+    report = _report(codes, labels, matrix, db_labels)
     assert report.pr_curve == [] and report.queries_without_relevant == 1
-    assert report.t_map == 0.0
+    assert report.mean_ap == 0.0
 
 
 def test_topn_grid_ladder():
@@ -149,7 +153,7 @@ def test_topn_grid_ladder():
 def test_precision_at_topn_worked_example():
     # topn_grid(4) is [1, 4]; the PR-curve worked example's precision
     # column pins cutoffs 2 and 3
-    values = evaluate_queries(*_single_query_setup()).precision_at_n
+    values = _report(*_single_query_setup()).precision_at_n
     expected = [1.0, 0.5]
     assert len(values) == len(expected)
     for (cutoff, value), want in zip(values, expected):
@@ -157,7 +161,7 @@ def test_precision_at_topn_worked_example():
 
 
 def test_precision_at_topn_default_grid():
-    values = evaluate_queries(*_single_query_setup()).precision_at_n
+    values = _report(*_single_query_setup()).precision_at_n
     assert [cutoff for cutoff, _ in values] == [1, 4]
 
 
@@ -186,21 +190,22 @@ def test_mean_perceptibility_averages_per_image(rng):
 def test_metric_input_guards():
     codes, labels, matrix, db_labels = _single_query_setup()
     with pytest.raises(InputError):
-        t_map(np.zeros((0, 4)), labels, matrix, db_labels)
+        _report(np.zeros((0, 4)), labels, matrix, db_labels)
     with pytest.raises(DimensionError):
-        t_map(codes, np.vstack([labels, labels]), matrix, db_labels)
+        _report(codes, np.vstack([labels, labels]), matrix, db_labels)
+    with pytest.raises(InputError):
+        evaluate_queries(codes, matrix, db_labels)  # no label set to judge by
 
 
 def test_evaluate_queries_full_report():
     codes, labels, matrix, db_labels = _single_query_setup()
-    report = evaluate_queries(codes, labels, matrix, db_labels,
-                              true_labels=np.array([[0.0, 1.0]]))
-    assert report.t_map == pytest.approx(5.0 / 6.0)
-    assert report.map == pytest.approx(average_precision([0, 1, 0, 1]))
+    report, other = evaluate_queries(codes, matrix, db_labels, labels,
+                                     np.array([[0.0, 1.0]]))
+    assert report.mean_ap == pytest.approx(5.0 / 6.0)
+    assert other.mean_ap == pytest.approx(average_precision([0, 1, 0, 1]))
     assert len(report.pr_curve) == 4
     assert report.precision_at_n[0][0] == 1
     assert report.queries_without_relevant == 0
-    assert evaluate_queries(codes, labels, matrix, db_labels).map is None
 
 
 def _random_setup(rng, queries=12, bits=4, items=40, classes=3):
@@ -213,7 +218,7 @@ def _random_setup(rng, queries=12, bits=4, items=40, classes=3):
     return codes, labels, matrix, db_labels
 
 
-def _oracle_report(codes, labels, matrix, db_labels, true_labels):
+def _oracle_report(codes, labels, matrix, db_labels):
     """Straight-line per-query ranking, relevance, AP, PR and P@N."""
     ranked = _ranked(codes, labels, matrix, db_labels)
     depth = matrix.shape[1]
@@ -223,9 +228,7 @@ def _oracle_report(codes, labels, matrix, db_labels, true_labels):
     recall = np.mean([np.cumsum(rel) / rel.sum() for rel in kept], axis=0)
     hits = np.cumsum(ranked, axis=1)
     return {
-        "t_map": float(np.mean([average_precision(rel) for rel in ranked])),
-        "map": float(np.mean([average_precision(rel) for rel in
-                              _ranked(codes, true_labels, matrix, db_labels)])),
+        "mean_ap": float(np.mean([average_precision(rel) for rel in ranked])),
         "pr_curve": [(int(k), float(p), float(r))
                      for k, p, r in zip(ranks, precision, recall)],
         "precision_at_n": [(n, float(np.mean(hits[:, n - 1] / n)))
@@ -238,19 +241,21 @@ def test_evaluate_queries_equals_per_query_oracle(rng):
     # rows longer than numpy's 128-element pairwise-summation block too
     for items in [40] * 10 + [300] * 10:
         codes, labels, matrix, db_labels = _random_setup(rng, items=items)
-        true_labels = np.eye(3)[rng.integers(0, 3, len(codes))]
-        report = evaluate_queries(codes, labels, matrix, db_labels,
-                                  true_labels=true_labels)
-        want = _oracle_report(codes, labels, matrix, db_labels, true_labels)
-        assert want["queries_without_relevant"] >= 1
-        for name, value in want.items():
-            assert getattr(report, name) == value, name
-        assert t_map(codes, labels, matrix, db_labels) == want["t_map"]
+        other_labels = np.eye(3)[rng.integers(0, 3, len(codes))]
+        reports = evaluate_queries(codes, matrix, db_labels, labels, other_labels)
+        for report, label_set in zip(reports, (labels, other_labels)):
+            want = _oracle_report(codes, label_set, matrix, db_labels)
+            for name, value in want.items():
+                assert getattr(report, name) == value, name
+        assert reports[0].queries_without_relevant >= 1
 
 
-@pytest.mark.parametrize("with_true_labels", [False, True])
-def test_evaluate_queries_ranks_once(rng, monkeypatch, with_true_labels):
+@pytest.mark.parametrize("set_count", [1, 2, 3])
+def test_evaluate_queries_ranks_once(rng, monkeypatch, set_count):
     codes, labels, matrix, db_labels = _random_setup(rng)
+    label_sets = [labels] + [np.eye(3)[rng.integers(0, 3, len(codes))]
+                             for _ in range(set_count - 1)]
+    alone = [_report(codes, label_set, matrix, db_labels) for label_set in label_sets]
     calls = []
 
     def spy(query_codes, code_matrix):
@@ -258,9 +263,9 @@ def test_evaluate_queries_ranks_once(rng, monkeypatch, with_true_labels):
         return rank_database(query_codes, code_matrix)
 
     monkeypatch.setattr(evaluation, "rank_database", spy)
-    evaluate_queries(codes, labels, matrix, db_labels,
-                     true_labels=labels if with_true_labels else None)
+    reports = evaluate_queries(codes, matrix, db_labels, *label_sets)
     assert calls == [codes.shape]
+    assert reports == alone
 
 
 @pytest.mark.parametrize("items", [3, 5])
@@ -268,6 +273,4 @@ def test_code_matrix_and_database_labels_must_agree(items):
     codes, labels, matrix, db_labels = _single_query_setup()
     matrix = np.tile(matrix, (1, 2))[:, :items]  # 4 database labels
     with pytest.raises(DimensionError):
-        t_map(codes, labels, matrix, db_labels)
-    with pytest.raises(DimensionError):
-        evaluate_queries(codes, labels, matrix, db_labels)
+        _report(codes, labels, matrix, db_labels)

@@ -107,6 +107,8 @@ def test_full_pipeline_outputs(tiny_config, tmp_path):
         assert distortion > 0.0, name
         assert report["methods"][name]["perceptibility"] == distortion, name
     assert 0.0 <= report["retrieval_map"] <= 1.0
+    # the retrieval baseline is the Original row's true-label report
+    assert report["retrieval_map"] == report["methods"]["Original"]["map"]
 
     transfer = json.loads((tmp_path / "transfer_report.json").read_text())
     assert set(transfer) == {"seed", "config_hash", "original_t_map",
@@ -144,8 +146,9 @@ def test_every_ranking_goes_through_evaluate_queries(tiny_config, tmp_path,
     monkeypatch.setattr(evaluation, "rank_database", counting_rank)
     monkeypatch.setattr(experiment, "evaluate_queries", counting_evaluate)
     experiment.run_experiment(tiny_config, 9, tmp_path)
-    # eval scores eight query sets and transfer-eval two
-    assert calls == {"rank_database": 10, "evaluate_queries": 10}
+    # eval ranks seven query blocks (the original one once, for both its
+    # target and true-label reports) and transfer-eval two
+    assert calls == {"rank_database": 9, "evaluate_queries": 9}
 
 
 def test_hash_and_transfer_models_take_their_configured_shapes(tiny_config, tmp_path):

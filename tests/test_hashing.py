@@ -173,6 +173,18 @@ def test_training_guards():
         train_target_model(bundle.train_images, bundle.train_labels[:-1], *shape, cfg, 0)
 
 
+def test_training_needs_a_pair_of_images():
+    # one image makes no pair, so every batch would be skipped and the
+    # history would be the mean of nothing
+    bundle = _tiny_dataset()
+    cfg = ExperimentConfig(hash_epochs=2, hash_batch_size=2, quantization_weight=0.1)
+    with pytest.raises(InputError):
+        train_target_model(bundle.train_images[:1], bundle.train_labels[:1], 4, (4,), cfg, 0)
+    _, history = train_target_model(bundle.train_images[:2], bundle.train_labels[:2],
+                                    4, (4,), cfg, 0)
+    assert len(history) == 2 and np.all(np.isfinite(history))
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_divergence_is_reported_with_epoch():
     images = np.full((8, 4), np.nan)

@@ -3,6 +3,7 @@ import pytest
 
 from hashattack import tensor as T
 from hashattack.errors import DimensionError, InputError
+from hashattack.hashing import binarize
 from hashattack.layers import MLP, DenseLayer, watch_parameters
 from hashattack.prototype import PrototypeNet, loss_prototype
 
@@ -26,7 +27,19 @@ def test_zero_network_outputs():
     _, code, pred = _output_values(net, np.array([[0.0, 1.0, 0.0]]))
     assert np.array_equal(code, np.zeros((1, 4)))
     assert np.array_equal(pred, np.full((1, 3), 0.5))
-    assert np.array_equal(net.prototype_code([1.0, 0.0, 0.0]), np.ones(4))
+    code = net.forward(np.array([[1.0, 0.0, 0.0]])).continuous_code.values
+    assert np.array_equal(binarize(code), np.ones((1, 4)))  # sign(0) = +1
+
+
+def test_batched_prototype_codes_equal_one_row_at_a_time(rng):
+    net = PrototypeNet.create(rng, 10, 12, hidden_widths=(64, 32), representation_width=32)
+    labels = (rng.random((40, 10)) < 0.3).astype(float)
+    labels[np.arange(40), rng.integers(0, 10, 40)] = 1.0  # every row names a class
+    codes = binarize(net.forward(labels).continuous_code.values)
+    # oracle: one forward pass per label row
+    for label, code in zip(labels, codes):
+        alone = net.forward(label[None, :]).continuous_code.values[0]
+        assert np.array_equal(code, binarize(alone))
 
 
 def test_forward_is_deterministic(rng):
