@@ -9,6 +9,7 @@ per failure class.
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -124,6 +125,26 @@ def _save_module(path, kind, module, architecture, seed, config_hash, meta):
     ))
 
 
+class _BoundedRng:
+    """``default_rng(0)`` for a scaffold's weights, refusing to draw more than
+    ``limit`` elements in all, so an oversized architecture is never allocated."""
+
+    def __init__(self, path, limit):
+        self._rng, self._path, self._left = np.random.default_rng(0), path, limit
+
+    def _draw(self, method, a, b, size):
+        self._left -= math.prod(size)
+        if self._left < 0:
+            raise CheckpointCorruptError(f"{self._path}: architecture outgrows the stored tensors")
+        return getattr(self._rng, method)(a, b, size)
+
+    def normal(self, loc, scale, size):
+        return self._draw("normal", loc, scale, size)
+
+    def uniform(self, low, high, size):
+        return self._draw("uniform", low, high, size)
+
+
 def _load_module(path, kind, config_hash, build, architecture):
     """Build a module from the stored architecture, then import its tensors.
 
@@ -133,8 +154,9 @@ def _load_module(path, kind, config_hash, build, architecture):
     fields the build does not read cannot disagree with the network.
     """
     checkpoint = load_checkpoint(path, kind=kind, config_hash=config_hash)
+    stored_size = sum(tensor.size for tensor in checkpoint.tensors.values())
     try:
-        module = build(np.random.default_rng(0), checkpoint.meta)
+        module = build(_BoundedRng(path, stored_size), checkpoint.meta)
         for key, rebuilt in architecture(module).items():
             stored = checkpoint.meta.get(key)
             if json.dumps(rebuilt, sort_keys=True) != json.dumps(stored, sort_keys=True):

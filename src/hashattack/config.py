@@ -98,9 +98,6 @@ class ExperimentConfig:
             raise ConfigError(f"config file {path} is not UTF-8 text: {err}") from err
         return cls.from_text(text)
 
-    def save(self, path):
-        Path(path).write_text(self.to_text())
-
     def config_hash(self):
         return hashlib.sha256(self.to_text().encode()).hexdigest()
 

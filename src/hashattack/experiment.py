@@ -172,12 +172,8 @@ def stage_encode_db(config, seed, out):
 def stage_train_attack(config, seed, out):
     bundle = _load_data(out)
     model = _load_hash(config, seed, out)
-    train_codes = encode_database(model, bundle.train_images)
-    label_set = unique_labels(bundle.train_labels)
-    stack, history = train_attack_gan(
-        bundle.train_images, bundle.train_labels, label_set, model,
-        train_codes, config, stage_rng(seed, "attack"),
-    )
+    stack, history = train_attack_gan(bundle.train_images, bundle.train_labels, model,
+                                      config, stage_rng(seed, "attack"))
     save_attack_stack(Path(out) / "attack_stack.json", stack, seed=seed,
                       config_hash=config.config_hash(),
                       meta={"final_losses": list(history[-1][1:])})

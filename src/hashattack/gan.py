@@ -19,31 +19,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import build_similarity_matrix
+from .data import build_similarity_matrix, unique_labels
 from .errors import (
     DimensionError,
     InputError,
     TargetUnsatisfiableError,
     TrainingDivergedError,
 )
-from .hashing import binarize
+from .hashing import binarize, encode_database
 from .layers import MLP, DenseLayer, Module, watch_parameters
 from .optim import Adam
 from .prototype import PrototypeNet, loss_prototype
-
-
-def augment_label(label, role):
-    """Append the realness flag: 0 marks a real image, 1 a generated one."""
-    label = np.asarray(label, dtype=np.float64)
-    if role not in ("real", "fake"):
-        raise InputError(f"role must be 'real' or 'fake', got {role!r}")
-    flag = 0.0 if role == "real" else 1.0
-    if label.ndim == 1:
-        return np.concatenate([label, [flag]])
-    if label.ndim == 2:
-        column = np.full((label.shape[0], 1), flag)
-        return np.concatenate([label, column], axis=1)
-    raise DimensionError(f"labels must be 1-D or 2-D, got {label.shape}")
 
 
 class Generator(Module):
@@ -157,9 +143,9 @@ def loss_reconstruction(images, perturbed):
     return T.total(T.square(T.sub(perturbed, images)))
 
 
-def _score_gap(scores, labels, role, class_mask):
-    """Summed squared gap between scores and the ``role``-flagged labels, class-masked."""
-    target = augment_label(labels, role)
+def _score_gap(scores, labels, flag, class_mask):
+    """Summed squared gap to [labels, flag] (flag 0 real, 1 generated), class-masked."""
+    target = np.concatenate([labels, np.full(np.shape(labels)[:-1] + (1,), flag)], axis=-1)
     gap = T.square(T.sub(scores, T.Tensor(target)))
     if class_mask is not None:
         gap = T.mul(gap, T.Tensor(np.broadcast_to(class_mask, gap.values.shape).copy()))
@@ -168,14 +154,14 @@ def _score_gap(scores, labels, role, class_mask):
 
 def loss_adversarial(discriminator_scores, target_labels, class_mask=None):
     """Generator's fooling loss: squared gap to [target label, real-flag 0]."""
-    return _score_gap(discriminator_scores, target_labels, "real", class_mask)
+    return _score_gap(discriminator_scores, target_labels, 0.0, class_mask)
 
 
 def loss_discriminator(real_scores, real_labels, fake_scores, target_labels,
                        class_mask=None):
     """Half the summed squared gaps to [y, 0] for real and [y_t, 1] for fake."""
-    real_gap = _score_gap(real_scores, real_labels, "real", class_mask)
-    fake_gap = _score_gap(fake_scores, target_labels, "fake", class_mask)
+    real_gap = _score_gap(real_scores, real_labels, 0.0, class_mask)
+    fake_gap = _score_gap(fake_scores, target_labels, 1.0, class_mask)
     return T.scale(T.add(real_gap, fake_gap), 0.5)
 
 
@@ -222,14 +208,14 @@ class _BatchLosses:
     """One forward pass; losses live on the caller's tape.
 
     Only the terms that depend on ``stepped`` are built, in the full pass's
-    order, so its gradient keeps its bits; ``None`` or the prototype: all.
+    order, so its gradient keeps its bits; the prototype step builds all.
     """
 
     def __init__(self, stack, hash_model, code_matrix, images, real_labels,
-                 target_labels, item_labels, config, stepped=None):
+                 target_labels, item_labels, config, stepped):
         proto = stack.prototype.forward(T.Tensor(target_labels))
         self.loss_pair = None
-        if stepped is None or stepped is stack.prototype:
+        if stepped is stack.prototype:
             similarity = build_similarity_matrix(target_labels, item_labels)
             self.loss_pair = loss_prototype(
                 T.transpose(proto.continuous_code), code_matrix, similarity,
@@ -259,7 +245,7 @@ class _BatchLosses:
 
         if stepped is stack.generator:
             # the real side of the discriminator loss is constant here
-            fake_gap = _score_gap(fake_scores, target_labels, "fake", mask)
+            fake_gap = _score_gap(fake_scores, target_labels, 1.0, mask)
             self.loss_discriminator = T.scale(fake_gap, 0.5)
         else:
             real_scores = stack.discriminator.forward(image_tensor)
@@ -280,22 +266,22 @@ class _BatchLosses:
                 float(self.loss_discriminator.values))
 
 
-def train_attack_gan(images, labels, label_set, hash_model, code_matrix, config, rng):
+def train_attack_gan(images, labels, hash_model, config, rng):
     """Alternating minimax training; returns (AttackStack, per-epoch history).
 
-    History rows are (epoch, pair loss, generator loss, discriminator
-    loss) means taken before each batch's updates.  The hashing model is
-    read but never updated.
+    The prototype net learns against ``hash_model``'s codes of ``images``;
+    targets are drawn from the distinct rows of ``labels``.  History rows
+    are (epoch, pair loss, generator loss, discriminator loss) means taken
+    before each batch's updates.  The hashing model is read but never updated.
     """
     images = np.asarray(images, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
-    label_set = np.asarray(label_set, dtype=np.float64)
     if images.ndim != 2 or images.shape[0] == 0:
         raise InputError("attack training needs a non-empty (N, pixels) image array")
-    if label_set.shape[0] == 0:
-        raise InputError("attack training needs a non-empty target label set")
     if labels.shape[0] != images.shape[0]:
         raise DimensionError(f"got {images.shape[0]} images but {labels.shape[0]} label rows")
+    label_set = unique_labels(labels)
+    code_matrix = encode_database(hash_model, images)
 
     rng = np.random.default_rng(rng)
     classes = labels.shape[1]

@@ -96,7 +96,7 @@ class PrototypeNet(Module):
 
 
 def loss_prototype(continuous_codes, code_matrix, similarity, predicted_labels,
-                   labels, alpha1=1.0, alpha2=1e-4, alpha3=1.0):
+                   labels, alpha1, alpha2, alpha3):
     """Prototype training loss over column-major operands.
 
     ``continuous_codes`` is a traced (K, M) tensor of tanh outputs,

@@ -299,22 +299,11 @@ def mean(t):
 
 def concat(tensors, axis=0):
     tensors = [_as_tensor(t) for t in tensors]
-    if not tensors:
-        raise DimensionError("concat needs at least one operand")
-    ndim = tensors[0].values.ndim
-    if axis < -ndim or axis >= ndim:
-        raise DimensionError(f"concat axis {axis} is out of range for {ndim}-D operands")
-    axis = axis % ndim
-    base = list(tensors[0].values.shape)
-    for t in tensors[1:]:
-        other = list(t.values.shape)
-        if len(other) != ndim or other[:axis] != base[:axis] or other[axis + 1:] != base[axis + 1:]:
-            raise DimensionError(
-                f"concat operands disagree off axis {axis}: "
-                f"{tensors[0].values.shape} vs {t.values.shape}"
-            )
-    out = Tensor(np.concatenate([t.values for t in tensors], axis=axis))
-
+    try:
+        out = Tensor(np.concatenate([t.values for t in tensors], axis=axis))
+    except ValueError as err:
+        raise DimensionError(f"cannot concat along axis {axis}: {err}") from err
+    ndim = out.values.ndim
     offsets = []
     start = 0
     for t in tensors:

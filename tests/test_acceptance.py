@@ -28,7 +28,7 @@ from hashattack.checkpoint import (
     save_hash_model,
 )
 from hashattack.config import ExperimentConfig
-from hashattack.data import load_bundle, unique_labels
+from hashattack.data import load_bundle
 from hashattack.errors import CheckpointError
 from hashattack.evaluation import average_precision, evaluate_queries, mean_perceptibility
 from hashattack.experiment import (
@@ -45,7 +45,7 @@ from hashattack.gan import (
     targeted_examples,
     train_attack_gan,
 )
-from hashattack.hashing import encode_database, hamming_distance, pairwise_code_loss
+from hashattack.hashing import hamming_distance, pairwise_code_loss
 from hashattack.prototype import loss_prototype
 
 SEED = 20240821
@@ -98,16 +98,12 @@ def gan_variants(pipeline):
                                config_hash=config.config_hash())
     with np.load(pipeline.out / "codes.npz") as blob:
         matrix = blob["code_matrix"]
-    train_codes = encode_database(model, bundle.train_images)
-    label_set = unique_labels(bundle.train_labels)
     targets = eval_target_labels(SEED, bundle)
 
     def trained(**overrides):
         gan_config = dataclasses.replace(config, **overrides)
-        stack, _ = train_attack_gan(
-            bundle.train_images, bundle.train_labels, label_set, model,
-            train_codes, gan_config, stage_rng(SEED, "attack"),
-        )
+        stack, _ = train_attack_gan(bundle.train_images, bundle.train_labels, model,
+                                    gan_config, stage_rng(SEED, "attack"))
         perturbed = targeted_examples(stack, bundle.query_images, targets)
         score = evaluate_queries(model.codes(perturbed), matrix,
                                  bundle.database_labels, targets)[0].mean_ap

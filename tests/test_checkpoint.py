@@ -1,6 +1,9 @@
 """Checkpoint round-trip, integrity, and model-rebuild tests."""
 
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hashattack
 from hashattack.checkpoint import (
     FORMAT_VERSION,
     Checkpoint,
@@ -318,8 +322,10 @@ def test_persisted_format_is_pinned(tmp_path):
     assert again.read_bytes() == first.read_bytes()
 
 
-# Fuzzed architecture meta.  Integers and floats stay in [-2, 16], so no
-# example can ask for a large allocation.
+# Fuzzed architecture meta.  A load refuses an architecture that outgrows
+# the stored tensors before it allocates anything, but tier-1 runs without
+# a memory cap, so integers and floats stay in [-2, 16]: a regression in
+# that refusal must not be able to fill the machine's memory.
 _SMALL_INT = st.integers(-2, 16)
 _JSON = st.recursive(
     st.none() | st.booleans() | _SMALL_INT | st.floats(-2.0, 16.0, allow_nan=False)
@@ -376,3 +382,31 @@ def test_fuzzed_hash_model_architecture_loads_or_raises_checkpoint_error(mutatio
 def test_fuzzed_attack_stack_architecture_loads_or_raises_checkpoint_error(mutations):
     stack = _demo_stack()
     _load_fuzzed(lambda path: save_attack_stack(path, stack), load_attack_stack, mutations)
+
+
+_CAPPED_LOAD = """
+import resource, sys
+from hashattack.checkpoint import load_hash_model
+cap = 1536 * 2 ** 20
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+try:
+    load_hash_model(sys.argv[1])
+except Exception as err:
+    print(type(err).__name__)
+"""
+
+
+def test_oversized_architecture_is_refused_before_it_is_built(tmp_path):
+    # the checksum is public, so a file can claim ~7 GB of weights; the load
+    # runs in a child capped at 1.5 GB of address space, where building the
+    # scaffold first would fail with MemoryError instead
+    path = tmp_path / "hash_model.json"
+    save_hash_model(path, HashModel.create(np.random.default_rng(3), 10, 6, hidden_widths=(12,)))
+    _rewrite(path, lambda payload: payload["meta"].update(
+        architecture={"widths": [10, 30000, 30000, 6], "activations": ["tanh"] * 3}))
+    src = str(Path(hashattack.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", _CAPPED_LOAD, str(path)], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert child.stdout.strip() == "CheckpointCorruptError", child.stderr

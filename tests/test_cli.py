@@ -13,7 +13,7 @@ def _config_file(tmp_path):
     from hashattack.config import ExperimentConfig
 
     path = tmp_path / "tiny.cfg"
-    ExperimentConfig(**TINY_RUN_KWARGS).save(path)
+    path.write_text(ExperimentConfig(**TINY_RUN_KWARGS).to_text())
     return str(path)
 
 

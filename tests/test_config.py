@@ -68,7 +68,7 @@ def test_parse_rejections():
 def test_file_round_trip(tmp_path):
     config = ExperimentConfig(classes=5, epsilon=0.1)
     target = tmp_path / "run.cfg"
-    config.save(target)
+    target.write_text(config.to_text())
     assert ExperimentConfig.from_file(target) == config
     with pytest.raises(ConfigError):
         ExperimentConfig.from_file(tmp_path / "missing.cfg")

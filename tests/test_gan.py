@@ -19,7 +19,6 @@ from hashattack.gan import (
     Generator,
     _BatchLosses,
     _pick_targets,
-    augment_label,
     loss_adversarial,
     loss_discriminator,
     loss_hamming,
@@ -32,18 +31,6 @@ from hashattack.layers import MLP, DenseLayer, watch_parameters
 from hashattack.prototype import PrototypeNet
 
 from conftest import assert_grad_close, finite_difference
-
-
-def test_augment_label_examples():
-    assert np.array_equal(augment_label([1, 0, 0], "real"), [1, 0, 0, 0])
-    assert np.array_equal(augment_label([0, 1, 0], "fake"), [0, 1, 0, 1])
-    batch = augment_label(np.array([[1, 0], [0, 1]]), "fake")
-    assert np.array_equal(batch, [[1, 0, 1], [0, 1, 1]])
-    assert augment_label(np.zeros(5), "real").shape == (6,)
-    with pytest.raises(InputError):
-        augment_label([1, 0], "synthetic")
-    with pytest.raises(DimensionError):
-        augment_label(np.zeros((2, 2, 2)), "real")
 
 
 def test_loss_hamming_frozen_values():
@@ -231,7 +218,7 @@ def test_minimax_objective_gradients_match_finite_differences():
         for p, a in zip(params, arrays):
             p.values = np.array(a, copy=True)
         losses = _BatchLosses(stack, hash_model, code_matrix, batch, batch_labels,
-                              targets, labels, config)
+                              targets, labels, config, stack.prototype)
         pair, gen, dis = losses.values()
         for p, a in zip(params, base):
             p.values = a.copy()
@@ -241,7 +228,7 @@ def test_minimax_objective_gradients_match_finite_differences():
     for p in params:
         tape.watch(p)
     losses = _BatchLosses(stack, hash_model, code_matrix, batch, batch_labels,
-                          targets, labels, config)
+                          targets, labels, config, stack.prototype)
     objective = T.scale(losses.minimax(), 1.0 / 3.0)
     grads = T.backward(tape, objective)
     analytic = [grads.wrt(p) for p in params]
@@ -263,7 +250,7 @@ def test_watching_only_the_stepped_network_keeps_its_gradient_exact():
         tape = T.Tape()
         watch_parameters(tape, *watched)
         losses = _BatchLosses(stack, hash_model, code_matrix, images[:3], labels[:3],
-                              targets, labels, config)
+                              targets, labels, config, stack.prototype)
         minimax = losses.minimax()
         if flip:
             minimax = T.scale(minimax, -1.0)
@@ -325,7 +312,7 @@ def test_pruned_steps_keep_the_stepped_gradient_exact(monkeypatch, disable_hammi
         (stack.discriminator, True, dict(discriminator=2, hash=0, pair=0, reconstruction=0)),
     )
     for net, flip, built in expected:
-        full, full_nodes, _ = step(net, None, flip)
+        full, full_nodes, _ = step(net, stack.prototype, flip)
         pruned, pruned_nodes, pruned_built = step(net, net, flip)
         assert pruned_built == Counter(built)
         assert any(np.any(g != 0.0) for g in full)
@@ -406,8 +393,7 @@ def test_pick_targets_unsatisfiable():
 def test_training_updates_all_three_networks_and_freezes_hash_model():
     config, hash_model, images, labels, label_set, code_matrix = _mini_setup()
     frozen = [p.values.copy() for p in hash_model.net.parameters()]
-    stack, history = train_attack_gan(images, labels, label_set, hash_model,
-                                      code_matrix, config, 5)
+    stack, history = train_attack_gan(images, labels, hash_model, config, 5)
     # identical seed replays the trainer's initialization order, so any
     # difference from it is an applied update
     fresh = _build_mini_stack(5, config, hash_model, 2, 2)
@@ -428,8 +414,7 @@ def test_training_updates_all_three_networks_and_freezes_hash_model():
 def test_training_is_bit_reproducible():
     config, hash_model, images, labels, label_set, code_matrix = _mini_setup(
         seed=2, attack_epochs=2)
-    run = lambda: train_attack_gan(images, labels, label_set, hash_model,
-                                   code_matrix, config, 11)
+    run = lambda: train_attack_gan(images, labels, hash_model, config, 11)
     stack_a, history_a = run()
     stack_b, history_b = run()
     assert history_a == history_b
@@ -443,14 +428,9 @@ def test_training_is_bit_reproducible():
 def test_training_input_guards():
     config, hash_model, images, labels, label_set, code_matrix = _mini_setup()
     with pytest.raises(InputError):
-        train_attack_gan(np.zeros((0, 2)), np.zeros((0, 2)), label_set,
-                         hash_model, code_matrix, config, 0)
-    with pytest.raises(InputError):
-        train_attack_gan(images, labels, np.zeros((0, 2)), hash_model,
-                         code_matrix, config, 0)
+        train_attack_gan(np.zeros((0, 2)), np.zeros((0, 2)), hash_model, config, 0)
     with pytest.raises(DimensionError):
-        train_attack_gan(images, labels[:-1], label_set, hash_model,
-                         code_matrix, config, 0)
+        train_attack_gan(images, labels[:-1], hash_model, config, 0)
 
 
 def test_training_refuses_non_finite_weights_left_by_the_last_batch(monkeypatch):
@@ -474,13 +454,12 @@ def test_training_refuses_non_finite_weights_left_by_the_last_batch(monkeypatch)
 
     monkeypatch.setattr(gan, "Adam", PoisonedAdam)
     with pytest.raises(TrainingDivergedError) as caught:
-        train_attack_gan(images, labels, label_set, hash_model, code_matrix, config, 5)
+        train_attack_gan(images, labels, hash_model, config, 5)
     assert caught.value.epoch == 0
 
 def test_targeted_examples_shapes_and_bounds():
     config, hash_model, images, labels, label_set, code_matrix = _mini_setup()
-    stack, _ = train_attack_gan(images, labels, label_set, hash_model,
-                                code_matrix, config, 3)
+    stack, _ = train_attack_gan(images, labels, hash_model, config, 3)
     targets = label_set[np.zeros(4, dtype=int)]
     perturbed = targeted_examples(stack, images[:4], targets)
     assert perturbed.shape == images[:4].shape

@@ -148,12 +148,13 @@ def test_loss_shape_guards():
     good_b = np.ones((4, 5))
     good_s = np.zeros((2, 5))
     good_y = np.zeros((3, 2))
+    alphas = (1.0, 1e-4, 1.0)
     with pytest.raises(DimensionError):
-        loss_prototype(h, np.ones((3, 5)), good_s, pred, good_y)
+        loss_prototype(h, np.ones((3, 5)), good_s, pred, good_y, *alphas)
     with pytest.raises(DimensionError):
-        loss_prototype(h, good_b, np.zeros((2, 4)), pred, good_y)
+        loss_prototype(h, good_b, np.zeros((2, 4)), pred, good_y, *alphas)
     with pytest.raises(DimensionError):
-        loss_prototype(h, good_b, good_s, pred, np.zeros((3, 3)))
+        loss_prototype(h, good_b, good_s, pred, np.zeros((3, 3)), *alphas)
 
 
 def test_loss_gradients_match_finite_differences(rng):

@@ -54,6 +54,8 @@ def test_transpose_and_concat_values():
     assert t.values.shape == (3, 1)
     joined = T.concat([T.Tensor([[1.0], [2.0]]), T.Tensor([[3.0]])], axis=0)
     assert np.array_equal(joined.values, [[1.0], [2.0], [3.0]])
+    side = T.concat([T.Tensor([[1.0], [2.0]]), T.Tensor([[3.0, 4.0], [5.0, 6.0]])], axis=-1)
+    assert np.array_equal(side.values, [[1.0, 3.0, 4.0], [2.0, 5.0, 6.0]])
 
 
 def test_concat_with_empty_is_identity():
@@ -81,6 +83,10 @@ def test_shape_guards():
         T.concat([T.Tensor([[1.0]]), T.Tensor([[1.0, 2.0]])], axis=0)
     with pytest.raises(DimensionError):
         T.concat([T.Tensor([1.0])], axis=3)
+    with pytest.raises(DimensionError):
+        T.concat([])
+    with pytest.raises(DimensionError):
+        T.concat([T.Tensor([[1.0]]), T.Tensor([1.0])], axis=0)
     with pytest.raises(DimensionError):
         T.mean(T.Tensor(np.zeros((0,))))
 
@@ -253,19 +259,20 @@ def test_binary_gradients_match_finite_differences(name, op, sa, sb, rng):
 
 
 def test_concat_gradient_matches_finite_differences(rng):
-    a = rng.normal(size=(2, 3))
-    b = rng.normal(size=(4, 3))
+    for axis, shape_a, shape_b in ((0, (2, 3), (4, 3)), (-1, (3, 2), (3, 4))):
+        a = rng.normal(size=shape_a)
+        b = rng.normal(size=shape_b)
 
-    def build(ta, tb):
-        return T.total(T.square(T.concat([ta, tb], axis=0)))
+        def build(ta, tb):
+            return T.total(T.square(T.concat([ta, tb], axis=axis)))
 
-    def loss_fn(xa, xb):
-        return float(build(T.Tensor(xa), T.Tensor(xb)).values)
+        def loss_fn(xa, xb):
+            return float(build(T.Tensor(xa), T.Tensor(xb)).values)
 
-    analytic = _tape_gradients(build, [a, b])
-    numeric = finite_difference(loss_fn, [a, b])
-    for got, want in zip(analytic, numeric):
-        assert_grad_close(got, want)
+        analytic = _tape_gradients(build, [a, b])
+        numeric = finite_difference(loss_fn, [a, b])
+        for got, want in zip(analytic, numeric):
+            assert_grad_close(got, want)
 
 
 def test_composite_network_gradient_matches_finite_differences(rng):
