@@ -1,10 +1,10 @@
 """Hamming-ranked retrieval metrics.
 
-Each query block is ranked once, by ascending Hamming distance with ties
-broken by database index, and every label set is read from that one
-ranking: each ranked relevance matrix goes through one cumulative pass
-that gives AP, the PR curve and P@N.  Average precision runs over the
-full ranking with the shared-class relevance rule, so the same machinery
+Each query block is ranked once, by a stable radix sort of its integer
+Hamming distances (ties broken by database index), and every label set
+is read from that one ranking: each ranked relevance matrix goes through
+one cumulative pass that gives AP, the PR curve and P@N.  AP runs over
+the full ranking with the shared-class relevance rule, so the same code
 scores both targeted-attack success (t-MAP, relevance judged against the
 attack's target label) and true-label retrieval quality (MAP).
 """

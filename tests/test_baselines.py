@@ -25,7 +25,7 @@ from hashattack.gan import loss_hamming
 from hashattack.hashing import (
     HashModel,
     binarize,
-    hamming_distance,
+    hamming_distances,
     train_target_model,
 )
 
@@ -51,7 +51,7 @@ def test_anchor_code_rejects_empty():
 
 
 def _total_distance(code, rows):
-    return sum(hamming_distance(code, row) for row in rows)
+    return int(hamming_distances(code, rows.T).sum())
 
 
 def test_anchor_code_minimizes_total_hamming_distance(rng):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hashattack import evaluation
 from hashattack.data import build_similarity_matrix
@@ -57,6 +59,24 @@ def test_rank_database_breaks_ties_by_index():
                           np.array([[0.0, 1.0, 1.0, 1.0]]))
 
 
+@settings(deadline=None, max_examples=60)
+@given(code_length=st.sampled_from([1, 12, 64, 255, 256, 300]),
+       queries=st.integers(1, 6), items=st.integers(1, 80),
+       distinct=st.one_of(st.none(), st.integers(1, 3)), seed=st.integers(0, 2**32 - 1))
+def test_rank_database_equals_a_float_sort_of_disagreement_counts(
+        code_length, queries, items, distinct, seed):
+    """Diverse codes, or a database of at most three distinct codes (tie-heavy)."""
+    rng = np.random.default_rng(seed)
+    codes = np.where(rng.random((queries, code_length)) < 0.5, -1.0, 1.0)
+    matrix = np.where(rng.random((code_length, distinct or items)) < 0.5, -1.0, 1.0)
+    if distinct is not None:
+        matrix = matrix[:, rng.integers(0, distinct, items)]
+        codes[0] = matrix[:, 0]
+    counts = np.sum(codes[:, None, :] != matrix.T[None], axis=2).astype(np.float64)
+    assert np.array_equal(rank_database(codes, matrix),
+                          np.argsort(counts, axis=1, kind="stable"))
+
+
 def _single_query_setup():
     """One query whose ranking is db order 0,1,2,3 with relevance 1,0,1,0."""
     query_codes = np.ones((1, 4))
@@ -82,9 +102,12 @@ def _report(codes, labels, matrix, db_labels):
 
 
 def _ranked(codes, labels, matrix, db_labels):
-    """The (queries, N) relevance matrix in ranked order, one query at a time."""
+    """The (queries, N) relevance matrix in ranked order, one query at a time.
+
+    Each query's distances are its disagreement counts with every column.
+    """
     relevance = build_similarity_matrix(labels, db_labels)
-    return np.array([rel[np.argsort(hamming_distances(code, matrix), kind="stable")]
+    return np.array([rel[np.argsort(np.sum(code[:, None] != matrix, axis=0), kind="stable")]
                      for code, rel in zip(codes, relevance)])
 
 
@@ -195,6 +218,14 @@ def test_metric_input_guards():
         _report(codes, np.vstack([labels, labels]), matrix, db_labels)
     with pytest.raises(InputError):
         evaluate_queries(codes, matrix, db_labels)  # no label set to judge by
+
+
+@pytest.mark.parametrize("side", ["query", "database"])
+def test_evaluate_queries_refuses_codes_that_are_not_signs(side):
+    codes, labels, matrix, db_labels = _single_query_setup()
+    (codes if side == "query" else matrix)[0, 1] = 0.5
+    with pytest.raises(InputError):
+        _report(codes, labels, matrix, db_labels)
 
 
 def test_evaluate_queries_full_report():

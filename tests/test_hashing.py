@@ -9,7 +9,6 @@ from hashattack.hashing import (
     HashModel,
     binarize,
     encode_database,
-    hamming_distance,
     hamming_distances,
     pairwise_code_loss,
     train_target_model,
@@ -26,12 +25,17 @@ def test_binarize_examples():
     assert np.array_equal(binarize(code), code)
 
 
+def _distance(a, b):
+    """The Hamming distance between two codes, through the batched function."""
+    return int(hamming_distances(a, b[:, None])[0])
+
+
 def test_hamming_examples():
     a = np.array([1.0, 1.0, -1.0, 1.0])
-    assert hamming_distance(a, a) == 0.0
+    assert _distance(a, a) == 0
     b8 = np.ones(8)
-    assert hamming_distance(b8, -b8) == 8.0
-    assert hamming_distance(a, np.array([1.0, -1.0, -1.0, -1.0])) == 2.0
+    assert _distance(b8, -b8) == 8
+    assert _distance(a, np.array([1.0, -1.0, -1.0, -1.0])) == 2
 
 
 def test_hamming_identity_against_position_count(rng):
@@ -39,22 +43,44 @@ def test_hamming_identity_against_position_count(rng):
         for _ in range(200):
             a = binarize(rng.normal(size=code_length))
             b = binarize(rng.normal(size=code_length))
-            assert hamming_distance(a, b) == float(np.sum(a != b))
+            assert _distance(a, b) == np.sum(a != b)
 
 
 def test_hamming_metric_properties(rng):
     for _ in range(100):
         a, b, c = (binarize(rng.normal(size=8)) for _ in range(3))
-        assert hamming_distance(a, b) == hamming_distance(b, a)
-        assert (hamming_distance(a, b) == 0.0) == np.array_equal(a, b)
-        assert hamming_distance(a, c) <= hamming_distance(a, b) + hamming_distance(b, c)
+        assert _distance(a, b) == _distance(b, a)
+        assert (_distance(a, b) == 0) == np.array_equal(a, b)
+        assert _distance(a, c) <= _distance(a, b) + _distance(b, c)
 
 
 def test_hamming_guards():
     with pytest.raises(DimensionError):
-        hamming_distance(np.ones(3), np.ones(4))
+        hamming_distances(np.ones((2, 2, 3)), np.ones((3, 4)))
     with pytest.raises(DimensionError):
         hamming_distances(np.ones(3), np.ones((4, 5)))
+
+
+@pytest.mark.parametrize("side", ["query", "database"])
+@pytest.mark.parametrize("value", [0.5, 0.0, -2.0, np.nan, np.inf])
+def test_hamming_distances_refuse_codes_that_are_not_signs(side, value):
+    query = np.ones((2, 4))
+    matrix = -np.ones((4, 3))
+    (query if side == "query" else matrix)[1, 2] = value
+    with pytest.raises(InputError):
+        hamming_distances(query, matrix)
+
+
+@pytest.mark.parametrize("code_length, dtype", [
+    (1, np.uint8), (12, np.uint8), (255, np.uint8), (256, np.uint16), (300, np.uint16),
+])
+def test_hamming_counts_come_in_the_smallest_unsigned_dtype(code_length, dtype):
+    query = np.ones((2, code_length))
+    matrix = np.ones((code_length, 3))
+    matrix[:, 1] = -1.0
+    distances = hamming_distances(query, matrix)
+    assert distances.dtype == dtype
+    assert np.array_equal(distances, [[0, code_length, 0]] * 2)
 
 
 def test_hamming_distances_matches_per_column(rng):
@@ -62,13 +88,13 @@ def test_hamming_distances_matches_per_column(rng):
     matrix = binarize(rng.normal(size=(6, 9)))
     batch = hamming_distances(q, matrix)
     for j in range(9):
-        assert batch[j] == hamming_distance(q, matrix[:, j])
+        assert batch[j] == np.sum(q != matrix[:, j])
     block = binarize(rng.normal(size=(4, 6)))
     distances = hamming_distances(block, matrix)
     assert distances.shape == (4, 9)
     for i in range(4):
         for j in range(9):
-            assert distances[i, j] == hamming_distance(block[i], matrix[:, j])
+            assert distances[i, j] == np.sum(block[i] != matrix[:, j])
 
 
 def test_zero_model_continuous_is_zero_codes_all_positive():
