@@ -17,19 +17,21 @@ from .hashing import binarize
 
 
 def _matching_indices(target_label, db_labels):
+    """Database items sharing a class with the target label; refuses an empty match."""
     shared = build_similarity_matrix(
         np.asarray(target_label, dtype=np.float64).reshape(1, -1), db_labels
     )[0]
-    return np.flatnonzero(shared)
+    matching = np.flatnonzero(shared)
+    if matching.size == 0:
+        raise TargetUnsatisfiableError(
+            "no database item shares a class with the target label"
+        )
+    return matching
 
 
 def p2p_target_code(target_label, db_labels, code_matrix, rng):
     """A uniformly drawn code among database items sharing a target class."""
     matching = _matching_indices(target_label, db_labels)
-    if matching.size == 0:
-        raise TargetUnsatisfiableError(
-            "no database item shares a class with the target label"
-        )
     pick = matching[int(rng.integers(0, matching.size))]
     return code_matrix[:, pick].copy()
 
@@ -51,10 +53,6 @@ def anchor_code_for_label(target_label, db_labels, code_matrix, rng, set_size):
     if set_size < 1:
         raise InputError(f"anchor set size must be positive, got {set_size}")
     matching = _matching_indices(target_label, db_labels)
-    if matching.size == 0:
-        raise TargetUnsatisfiableError(
-            "no database item shares a class with the target label"
-        )
     take = min(set_size, matching.size)
     chosen = rng.choice(matching, size=take, replace=False)
     return anchor_code(code_matrix[:, chosen].T)

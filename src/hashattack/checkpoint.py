@@ -3,14 +3,17 @@
 Arrays are stored as little-endian float64 hex so a load reproduces
 training output bit for bit.  Every file carries a format version, a
 kind tag, the seed and configuration hash it was produced under, and a
-content checksum; loading verifies all of them with a distinct error
-per failure class.
+content checksum.  Every argument is required: a save always records
+the seed and config hash, and a load always names the kind and config
+hash it expects and verifies them, with a distinct error per failure
+class.  Each persisted class (``HashModel``, ``AttackStack``) owns its
+stored layout through ``architecture()`` and ``from_architecture``.
 """
 
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +26,6 @@ from .errors import (
 )
 from .gan import AttackStack
 from .hashing import HashModel
-from .layers import MLP
 
 FORMAT_VERSION = 1
 
@@ -32,9 +34,9 @@ FORMAT_VERSION = 1
 class Checkpoint:
     kind: str
     tensors: dict
-    meta: dict = field(default_factory=dict)
-    seed: int = None
-    config_hash: str = None
+    meta: dict
+    seed: int
+    config_hash: str
 
 
 def _canonical_digest(payload):
@@ -65,7 +67,7 @@ def save_checkpoint(path, checkpoint):
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1))
 
 
-def load_checkpoint(path, kind=None, config_hash=None):
+def load_checkpoint(path, kind, config_hash):
     path = Path(path)
     if not path.is_file():
         raise CheckpointMissingError(f"no checkpoint at {path}")
@@ -83,13 +85,12 @@ def load_checkpoint(path, kind=None, config_hash=None):
     body = {k: v for k, v in payload.items() if k != "checksum"}
     if payload.get("checksum") != _canonical_digest(body):
         raise CheckpointCorruptError(f"checksum mismatch in {path}")
-    if kind is not None and payload.get("kind") != kind:
+    if payload.get("kind") != kind:
         raise CheckpointMismatchError(
             f"{path} holds a {payload.get('kind')!r} checkpoint, expected {kind!r}"
         )
-    # a requested hash must be stored exactly: a file without one is refused
-    stored_hash = payload.get("config_hash")
-    if config_hash is not None and stored_hash != config_hash:
+    # the requested hash must be stored exactly: a file without one is refused
+    if payload.get("config_hash") != config_hash:
         raise CheckpointMismatchError(
             f"{path} was not written under the requested configuration"
         )
@@ -106,20 +107,17 @@ def load_checkpoint(path, kind=None, config_hash=None):
             tensors=tensors,
             meta=payload["meta"],
             seed=payload["seed"],
-            config_hash=stored_hash,
+            config_hash=payload["config_hash"],
         )
     except (AttributeError, KeyError, TypeError, ValueError) as err:
         raise CheckpointCorruptError(f"malformed checkpoint {path}: {err}") from err
 
 
-def _save_module(path, kind, module, architecture, seed, config_hash, meta):
-    stored = dict(architecture)
-    if meta:
-        stored.update(meta)
+def _save_module(path, kind, module, seed, config_hash, meta):
     save_checkpoint(path, Checkpoint(
         kind=kind,
         tensors=module.state_dict(),
-        meta=stored,
+        meta={**module.architecture(), **meta},
         seed=seed,
         config_hash=config_hash,
     ))
@@ -145,19 +143,20 @@ class _BoundedRng:
         return self._draw("uniform", low, high, size)
 
 
-def _load_module(path, kind, config_hash, build, architecture):
-    """Build a module from the stored architecture, then import its tensors.
+def _load_module(path, kind, cls, config_hash):
+    """Build a ``cls`` from the stored architecture, then import its tensors.
 
-    ``build(rng, meta)`` makes the scaffold; the import overwrites all of
-    its initial weights, so any seed works.  ``architecture(module)`` must
-    then give back every stored architecture entry exactly, so redundant
-    fields the build does not read cannot disagree with the network.
+    ``cls.from_architecture(rng, meta)`` makes the scaffold; the import
+    overwrites all of its initial weights, so any seed works.  The
+    scaffold's ``architecture()`` must then give back every stored
+    architecture entry exactly, so redundant fields the build does not
+    read cannot disagree with the network.
     """
-    checkpoint = load_checkpoint(path, kind=kind, config_hash=config_hash)
+    checkpoint = load_checkpoint(path, kind, config_hash)
     stored_size = sum(tensor.size for tensor in checkpoint.tensors.values())
     try:
-        module = build(_BoundedRng(path, stored_size), checkpoint.meta)
-        for key, rebuilt in architecture(module).items():
+        module = cls.from_architecture(_BoundedRng(path, stored_size), checkpoint.meta)
+        for key, rebuilt in module.architecture().items():
             stored = checkpoint.meta.get(key)
             if json.dumps(rebuilt, sort_keys=True) != json.dumps(stored, sort_keys=True):
                 raise CheckpointCorruptError(
@@ -170,28 +169,17 @@ def _load_module(path, kind, config_hash, build, architecture):
     return module, checkpoint
 
 
-def _build_hash_model(rng, meta):
-    return HashModel(MLP.create(rng, **meta["architecture"]))
+def save_hash_model(path, model, seed, config_hash, meta):
+    _save_module(path, "hash_model", model, seed, config_hash, meta)
 
 
-def _hash_model_architecture(model):
-    return {"architecture": model.net.architecture()}
+def load_hash_model(path, config_hash):
+    return _load_module(path, "hash_model", HashModel, config_hash)
 
 
-def save_hash_model(path, model, seed=None, config_hash=None, meta=None):
-    _save_module(path, "hash_model", model, _hash_model_architecture(model),
-                 seed, config_hash, meta)
+def save_attack_stack(path, stack, seed, config_hash, meta):
+    _save_module(path, "attack_stack", stack, seed, config_hash, meta)
 
 
-def load_hash_model(path, config_hash=None):
-    return _load_module(path, "hash_model", config_hash, _build_hash_model,
-                        _hash_model_architecture)
-
-
-def save_attack_stack(path, stack, seed=None, config_hash=None, meta=None):
-    _save_module(path, "attack_stack", stack, stack.architecture(), seed, config_hash, meta)
-
-
-def load_attack_stack(path, config_hash=None):
-    return _load_module(path, "attack_stack", config_hash, AttackStack.from_architecture,
-                        AttackStack.architecture)
+def load_attack_stack(path, config_hash):
+    return _load_module(path, "attack_stack", AttackStack, config_hash)

@@ -94,8 +94,9 @@ def _load_data(out):
 
 def _load_checkpoint(load, path, config, seed):
     """A stage's upstream module, refused unless this run's config and seed made it."""
-    module, checkpoint = load(path, config_hash=config.config_hash())
-    if checkpoint.seed != seed:
+    module, checkpoint = load(path, config.config_hash())
+    # type, not equality: True == 1 and 1.0 == 1 would pass another file
+    if type(checkpoint.seed) is not int or checkpoint.seed != seed:
         raise CheckpointMismatchError(
             f"{Path(path).name} was written under seed {checkpoint.seed}, not {seed}"
         )
@@ -153,9 +154,8 @@ def stage_train_hash(config, seed, out):
     model, losses = train_target_model(bundle.train_images, bundle.train_labels,
                                        config.code_length, config.hash_hidden_widths,
                                        config, stage_rng(seed, "hash"))
-    save_hash_model(Path(out) / "hash_model.json", model, seed=seed,
-                    config_hash=config.config_hash(),
-                    meta={"final_loss": losses[-1]})
+    save_hash_model(Path(out) / "hash_model.json", model, seed, config.config_hash(),
+                    {"final_loss": losses[-1]})
     _write_csv(Path(out) / "hash_training.csv", "epoch,loss",
                list(enumerate(losses)))
     return {"epochs": len(losses), "final_loss": float(losses[-1])}
@@ -174,9 +174,8 @@ def stage_train_attack(config, seed, out):
     model = _load_hash(config, seed, out)
     stack, history = train_attack_gan(bundle.train_images, bundle.train_labels, model,
                                       config, stage_rng(seed, "attack"))
-    save_attack_stack(Path(out) / "attack_stack.json", stack, seed=seed,
-                      config_hash=config.config_hash(),
-                      meta={"final_losses": list(history[-1][1:])})
+    save_attack_stack(Path(out) / "attack_stack.json", stack, seed, config.config_hash(),
+                      {"final_losses": list(history[-1][1:])})
     _write_csv(Path(out) / "attack_training.csv",
                "epoch,prototype_loss,generator_loss,discriminator_loss", history)
     return {"epochs": len(history),
@@ -310,9 +309,8 @@ def stage_transfer_eval(config, seed, out):
                                          config.transfer_code_length,
                                          config.transfer_hidden_widths,
                                          config, stage_rng(seed, "transfer"))
-    save_hash_model(out / "transfer_model.json", model_b, seed=seed,
-                    config_hash=config.config_hash(),
-                    meta={"final_loss": losses[-1]})
+    save_hash_model(out / "transfer_model.json", model_b, seed, config.config_hash(),
+                    {"final_loss": losses[-1]})
     matrix_b = encode_database(model_b, bundle.database_images)
     original_t = evaluate_queries(model_b.codes(bundle.query_images), matrix_b,
                                   bundle.database_labels, targets)[0].mean_ap

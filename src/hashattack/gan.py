@@ -92,27 +92,26 @@ class Generator(Module):
 class Discriminator(Module):
     """Maps an image to per-class scores plus a realness score, all sigmoid."""
 
-    def __init__(self, net, classes):
-        if net.output_width != classes + 1:
-            raise DimensionError(
-                f"discriminator must emit {classes + 1} scores, got {net.output_width}"
-            )
+    def __init__(self, net):
         if net.layers[-1].activation != "sigmoid":
             raise InputError("discriminator scores must be sigmoid outputs")
         self.net = net
-        self.classes = classes
 
     @classmethod
     def create(cls, rng, pixels, classes, hidden):
         widths = [pixels, *hidden, classes + 1]
         activations = ["relu"] * len(hidden) + ["sigmoid"]
-        return cls(MLP.create(rng, widths, activations), classes)
+        return cls(MLP.create(rng, widths, activations))
 
     @classmethod
     def from_architecture(cls, rng, arch):
         """Inverse of ``architecture``, with weights drawn from ``rng``."""
         widths = arch["widths"]
         return cls.create(rng, widths[0], arch["classes"], hidden=widths[1:-1])
+
+    @property
+    def classes(self):
+        return self.net.output_width - 1
 
     def forward(self, images):
         return self.net.forward(images)

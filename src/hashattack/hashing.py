@@ -55,6 +55,11 @@ class HashModel(Module):
         activations = ["tanh"] * (len(widths) - 1)
         return cls(MLP.create(rng, widths, activations))
 
+    @classmethod
+    def from_architecture(cls, rng, arch):
+        """Inverse of ``architecture``, with weights drawn from ``rng``."""
+        return cls(MLP.create(rng, **arch["architecture"]))
+
     @property
     def code_length(self):
         return self.net.output_width
@@ -65,6 +70,9 @@ class HashModel(Module):
 
     def parts(self):
         return [("", self.net)]
+
+    def architecture(self):
+        return {"architecture": self.net.architecture()}
 
     def continuous_codes(self, images):
         """Untraced continuous codes (batch, K)."""

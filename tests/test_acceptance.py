@@ -420,8 +420,7 @@ def test_criterion_14_checkpoint_persistence(pipeline, tmp_path, rng):
     model, _ = load_hash_model(pipeline.out / "hash_model.json",
                                config_hash=config.config_hash())
     probe = rng.random((5, bundle.query_images.shape[1]))
-    save_hash_model(tmp_path / "model.json", model, seed=SEED,
-                    config_hash=config.config_hash())
+    save_hash_model(tmp_path / "model.json", model, SEED, config.config_hash(), {})
     reloaded, _ = load_hash_model(tmp_path / "model.json",
                                   config_hash=config.config_hash())
     hash_identical = np.array_equal(model.continuous_codes(probe),
@@ -429,8 +428,7 @@ def test_criterion_14_checkpoint_persistence(pipeline, tmp_path, rng):
 
     stack, _ = load_attack_stack(pipeline.out / "attack_stack.json",
                                  config_hash=config.config_hash())
-    save_attack_stack(tmp_path / "stack.json", stack, seed=SEED,
-                      config_hash=config.config_hash())
+    save_attack_stack(tmp_path / "stack.json", stack, SEED, config.config_hash(), {})
     stack_again, _ = load_attack_stack(tmp_path / "stack.json",
                                        config_hash=config.config_hash())
     targets = eval_target_labels(SEED, bundle)[:3]
@@ -447,10 +445,10 @@ def test_criterion_14_checkpoint_persistence(pipeline, tmp_path, rng):
     (tmp_path / "tampered.json").write_text(text[:start] + flip
                                             + text[start + 1:])
     with pytest.raises(CheckpointError):
-        load_hash_model(tmp_path / "tampered.json")
+        load_hash_model(tmp_path / "tampered.json", config.config_hash())
     (tmp_path / "truncated.json").write_text(text[: len(text) // 2])
     with pytest.raises(CheckpointError):
-        load_hash_model(tmp_path / "truncated.json")
+        load_hash_model(tmp_path / "truncated.json", config.config_hash())
 
     verdict(14, "checkpoint persistence", hash_identical and stack_identical,
             "bit-identical forwards after round trip, tampering rejected")

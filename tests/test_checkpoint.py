@@ -44,6 +44,11 @@ def _rewrite(path, mutate):
     path.write_text(json.dumps(payload, sort_keys=True, indent=1))
 
 
+def _save_toy(target, tensors):
+    save_checkpoint(target, Checkpoint(kind="x", tensors=tensors, meta={}, seed=1,
+                                       config_hash="cfg"))
+
+
 def test_round_trip_is_bit_exact(tmp_path, rng):
     tensors = {
         "a": rng.standard_normal((3, 4)),
@@ -69,89 +74,87 @@ def test_round_trip_is_bit_exact(tmp_path, rng):
 
 def test_missing_file(tmp_path):
     with pytest.raises(CheckpointMissingError):
-        load_checkpoint(tmp_path / "absent.json")
+        load_checkpoint(tmp_path / "absent.json", "x", "cfg")
 
 
 def test_unparseable_file(tmp_path):
     target = tmp_path / "junk.json"
     target.write_text("not json at all {{{")
     with pytest.raises(CheckpointCorruptError):
-        load_checkpoint(target)
+        load_checkpoint(target, "x", "cfg")
     target.write_text('["a", "list"]')
     with pytest.raises(CheckpointCorruptError):
-        load_checkpoint(target)
+        load_checkpoint(target, "x", "cfg")
 
 
 def test_tampered_tensor_fails_checksum(tmp_path, rng):
     target = tmp_path / "model.json"
-    save_checkpoint(target, Checkpoint(kind="x", tensors={"w": rng.random(4)}))
+    _save_toy(target, {"w": rng.random(4)})
     payload = json.loads(target.read_text())
     data = payload["tensors"]["w"]["data"]
     payload["tensors"]["w"]["data"] = ("0" if data[0] != "0" else "1") + data[1:]
     target.write_text(json.dumps(payload, sort_keys=True, indent=1))
     with pytest.raises(CheckpointCorruptError):
-        load_checkpoint(target)
+        load_checkpoint(target, "x", "cfg")
 
 
 def test_version_gate(tmp_path, rng):
     target = tmp_path / "model.json"
-    save_checkpoint(target, Checkpoint(kind="x", tensors={"w": rng.random(2)}))
+    _save_toy(target, {"w": rng.random(2)})
 
     def bump(payload):
         payload["format_version"] = FORMAT_VERSION + 1
 
     _rewrite(target, bump)
     with pytest.raises(CheckpointVersionError):
-        load_checkpoint(target)
+        load_checkpoint(target, "x", "cfg")
 
 
 def test_kind_and_config_hash_gates(tmp_path, rng):
     target = tmp_path / "model.json"
     save_checkpoint(target, Checkpoint(
-        kind="hash_model", tensors={"w": rng.random(2)}, config_hash="aaa",
+        kind="hash_model", tensors={"w": rng.random(2)}, meta={}, seed=1, config_hash="aaa",
     ))
     with pytest.raises(CheckpointMismatchError):
-        load_checkpoint(target, kind="attack_stack")
+        load_checkpoint(target, "attack_stack", "aaa")
     with pytest.raises(CheckpointMismatchError):
-        load_checkpoint(target, config_hash="bbb")
-    # matching expectations pass; a save without a hash loads only when
-    # no hash is requested
-    load_checkpoint(target, kind="hash_model", config_hash="aaa")
-    save_checkpoint(target, Checkpoint(kind="hash_model", tensors={"w": rng.random(2)}))
-    load_checkpoint(target)
+        load_checkpoint(target, "hash_model", "bbb")
+    # matching expectations pass; a file saved without a hash is refused
+    load_checkpoint(target, "hash_model", "aaa")
+    save_checkpoint(target, Checkpoint(kind="hash_model", tensors={"w": rng.random(2)},
+                                       meta={}, seed=1, config_hash=None))
     with pytest.raises(CheckpointMismatchError):
-        load_checkpoint(target, config_hash="anything")
+        load_checkpoint(target, "hash_model", "anything")
 
 
 def test_shape_payload_mismatch_is_corrupt(tmp_path, rng):
     target = tmp_path / "model.json"
-    save_checkpoint(target, Checkpoint(kind="x", tensors={"w": rng.random(4)}))
+    _save_toy(target, {"w": rng.random(4)})
 
     def shrink(payload):
         payload["tensors"]["w"]["shape"] = [3]
 
     _rewrite(target, shrink)
     with pytest.raises(CheckpointCorruptError):
-        load_checkpoint(target)
+        load_checkpoint(target, "x", "cfg")
 
 
 def test_tensors_list_with_valid_checksum_is_corrupt(tmp_path, rng):
     target = tmp_path / "model.json"
-    save_checkpoint(target, Checkpoint(kind="x", tensors={"w": rng.random(4)}))
+    _save_toy(target, {"w": rng.random(4)})
 
     def listify(payload):
         payload["tensors"] = list(payload["tensors"].values())
 
     _rewrite(target, listify)
     with pytest.raises(CheckpointCorruptError):
-        load_checkpoint(target)
+        load_checkpoint(target, "x", "cfg")
 
 
 def test_hash_model_round_trip(tmp_path, rng):
     model = HashModel.create(np.random.default_rng(3), 10, 6, hidden_widths=(12,))
     target = tmp_path / "hash.json"
-    save_hash_model(target, model, seed=42, config_hash="cfg",
-                    meta={"final_loss": 0.25})
+    save_hash_model(target, model, 42, "cfg", {"final_loss": 0.25})
     loaded, checkpoint = load_hash_model(target, config_hash="cfg")
     assert checkpoint.seed == 42
     assert checkpoint.meta["final_loss"] == 0.25
@@ -164,14 +167,14 @@ def test_hash_model_round_trip(tmp_path, rng):
 def test_hash_model_architecture_tensor_disagreement(tmp_path):
     model = HashModel.create(np.random.default_rng(3), 10, 6, hidden_widths=(12,))
     target = tmp_path / "hash.json"
-    save_hash_model(target, model)
+    save_hash_model(target, model, 1, "cfg", {})
 
     def widen(payload):
         payload["meta"]["architecture"]["widths"][1] = 13
 
     _rewrite(target, widen)
     with pytest.raises(CheckpointCorruptError):
-        load_hash_model(target)
+        load_hash_model(target, "cfg")
 
 
 def _demo_stack():
@@ -187,7 +190,7 @@ def _demo_stack():
 def test_attack_stack_round_trip(tmp_path, rng):
     stack = _demo_stack()
     target = tmp_path / "stack.json"
-    save_attack_stack(target, stack, seed=9, config_hash="cfg")
+    save_attack_stack(target, stack, 9, "cfg", {})
     loaded, checkpoint = load_attack_stack(target, config_hash="cfg")
     assert checkpoint.seed == 9
     labels = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
@@ -207,67 +210,67 @@ def test_attack_stack_round_trip(tmp_path, rng):
 
 def test_cross_kind_loads_are_rejected(tmp_path, rng):
     stack_path = tmp_path / "stack.json"
-    save_attack_stack(stack_path, _demo_stack())
+    save_attack_stack(stack_path, _demo_stack(), 1, "cfg", {})
     with pytest.raises(CheckpointMismatchError):
-        load_hash_model(stack_path)
+        load_hash_model(stack_path, "cfg")
     model_path = tmp_path / "hash.json"
     save_hash_model(model_path, HashModel.create(np.random.default_rng(0), 4, 3,
-                                                 hidden_widths=(128, 64)))
+                                                 hidden_widths=(128, 64)), 1, "cfg", {})
     with pytest.raises(CheckpointMismatchError):
-        load_attack_stack(model_path)
+        load_attack_stack(model_path, "cfg")
 
 
 def test_hash_model_with_an_unknown_tensor_is_corrupt(tmp_path):
     target = tmp_path / "hash.json"
     save_hash_model(target, HashModel.create(np.random.default_rng(3), 10, 6,
-                                             hidden_widths=(12,)))
+                                             hidden_widths=(12,)), 1, "cfg", {})
 
     def add_tensor(payload):
         payload["tensors"]["layer9.weight"] = payload["tensors"]["layer0.weight"]
 
     _rewrite(target, add_tensor)
     with pytest.raises(CheckpointCorruptError):
-        load_hash_model(target)
+        load_hash_model(target, "cfg")
 
 
 @pytest.mark.parametrize("network, field", [("prototype", "trunk_widths"),
                                             ("discriminator", "widths")])
 def test_attack_stack_with_empty_widths_is_corrupt(tmp_path, network, field):
     target = tmp_path / "stack.json"
-    save_attack_stack(target, _demo_stack())
+    save_attack_stack(target, _demo_stack(), 1, "cfg", {})
 
     def empty(payload):
         payload["meta"][network][field] = []
 
     _rewrite(target, empty)
     with pytest.raises(CheckpointCorruptError):
-        load_attack_stack(target)
+        load_attack_stack(target, "cfg")
 
 
 def test_attack_stack_with_a_disagreeing_trunk_input_width_is_corrupt(tmp_path):
     # the rebuild takes the trunk's input width from classes, not from here
     target = tmp_path / "stack.json"
-    save_attack_stack(target, _demo_stack())
+    save_attack_stack(target, _demo_stack(), 1, "cfg", {})
 
     def widen(payload):
         payload["meta"]["prototype"]["trunk_widths"][0] = 99
 
     _rewrite(target, widen)
     with pytest.raises(CheckpointCorruptError, match="prototype"):
-        load_attack_stack(target)
+        load_attack_stack(target, "cfg")
 
 
 def test_attack_stack_with_a_disagreeing_discriminator_output_width_is_corrupt(tmp_path):
     # the rebuild derives the discriminator's output width from classes
     target = tmp_path / "stack.json"
-    save_attack_stack(target, _demo_stack())
+    save_attack_stack(target, _demo_stack(), 1, "cfg", {})
 
     def widen(payload):
         payload["meta"]["discriminator"]["widths"][-1] = 77
 
     _rewrite(target, widen)
     with pytest.raises(CheckpointCorruptError, match="discriminator"):
-        load_attack_stack(target)
+        load_attack_stack(target, "cfg")
 
 
 def _stored(path):
@@ -280,7 +283,7 @@ def test_persisted_format_is_pinned(tmp_path):
     """Tensor names, shapes and meta of both kinds; a reload saves the same bytes."""
     model = HashModel.create(np.random.default_rng(3), 10, 6, hidden_widths=(12,))
     first, again = tmp_path / "hash.json", tmp_path / "hash_again.json"
-    save_hash_model(first, model, seed=42, config_hash="cfg", meta={"final_loss": 0.25})
+    save_hash_model(first, model, 42, "cfg", {"final_loss": 0.25})
     shapes, meta = _stored(first)
     assert shapes == {
         "layer0.bias": [12], "layer0.weight": [10, 12],
@@ -288,13 +291,13 @@ def test_persisted_format_is_pinned(tmp_path):
     }
     assert meta == {"architecture": {"widths": [10, 12, 6], "activations": ["tanh", "tanh"]},
                     "final_loss": 0.25}
-    loaded, checkpoint = load_hash_model(first)
-    save_hash_model(again, loaded, seed=checkpoint.seed, config_hash=checkpoint.config_hash,
-                    meta={"final_loss": checkpoint.meta["final_loss"]})
+    loaded, checkpoint = load_hash_model(first, "cfg")
+    save_hash_model(again, loaded, checkpoint.seed, checkpoint.config_hash,
+                    {"final_loss": checkpoint.meta["final_loss"]})
     assert again.read_bytes() == first.read_bytes()
 
     first, again = tmp_path / "stack.json", tmp_path / "stack_again.json"
-    save_attack_stack(first, _demo_stack(), seed=9, config_hash="cfg")
+    save_attack_stack(first, _demo_stack(), 9, "cfg", {})
     shapes, meta = _stored(first)
     assert sorted(shapes) == [
         "discriminator.layer0.bias", "discriminator.layer0.weight",
@@ -317,8 +320,8 @@ def test_persisted_format_is_pinned(tmp_path):
                       "bottleneck": 7},
         "discriminator": {"widths": [12, 5, 4], "classes": 3},
     }
-    loaded, checkpoint = load_attack_stack(first)
-    save_attack_stack(again, loaded, seed=checkpoint.seed, config_hash=checkpoint.config_hash)
+    loaded, checkpoint = load_attack_stack(first, "cfg")
+    save_attack_stack(again, loaded, checkpoint.seed, checkpoint.config_hash, {})
     assert again.read_bytes() == first.read_bytes()
 
 
@@ -370,7 +373,8 @@ def _load_fuzzed(save, load, mutations):
 @given(_mutations([("architecture", "widths"), ("architecture", "activations")]))
 def test_fuzzed_hash_model_architecture_loads_or_raises_checkpoint_error(mutations):
     model = HashModel.create(np.random.default_rng(3), 10, 6, hidden_widths=(12,))
-    _load_fuzzed(lambda path: save_hash_model(path, model), load_hash_model, mutations)
+    _load_fuzzed(lambda path: save_hash_model(path, model, 1, "cfg", {}),
+                 lambda path: load_hash_model(path, "cfg"), mutations)
 
 
 @settings(deadline=None)
@@ -381,7 +385,8 @@ def test_fuzzed_hash_model_architecture_loads_or_raises_checkpoint_error(mutatio
                    ("discriminator", "classes")]))
 def test_fuzzed_attack_stack_architecture_loads_or_raises_checkpoint_error(mutations):
     stack = _demo_stack()
-    _load_fuzzed(lambda path: save_attack_stack(path, stack), load_attack_stack, mutations)
+    _load_fuzzed(lambda path: save_attack_stack(path, stack, 1, "cfg", {}),
+                 lambda path: load_attack_stack(path, "cfg"), mutations)
 
 
 _CAPPED_LOAD = """
@@ -390,7 +395,7 @@ from hashattack.checkpoint import load_hash_model
 cap = 1536 * 2 ** 20
 resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 try:
-    load_hash_model(sys.argv[1])
+    load_hash_model(sys.argv[1], "cfg")
 except Exception as err:
     print(type(err).__name__)
 """
@@ -401,7 +406,8 @@ def test_oversized_architecture_is_refused_before_it_is_built(tmp_path):
     # runs in a child capped at 1.5 GB of address space, where building the
     # scaffold first would fail with MemoryError instead
     path = tmp_path / "hash_model.json"
-    save_hash_model(path, HashModel.create(np.random.default_rng(3), 10, 6, hidden_widths=(12,)))
+    save_hash_model(path, HashModel.create(np.random.default_rng(3), 10, 6, hidden_widths=(12,)),
+                    1, "cfg", {})
     _rewrite(path, lambda payload: payload["meta"].update(
         architecture={"widths": [10, 30000, 30000, 6], "activations": ["tanh"] * 3}))
     src = str(Path(hashattack.__file__).parents[1])

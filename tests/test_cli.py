@@ -6,12 +6,11 @@ import pytest
 
 from hashattack.checkpoint import load_hash_model, save_hash_model
 from hashattack.cli import main
+from hashattack.config import ExperimentConfig
 from tests.conftest import TINY_RUN_KWARGS
 
 
 def _config_file(tmp_path):
-    from hashattack.config import ExperimentConfig
-
     path = tmp_path / "tiny.cfg"
     path.write_text(ExperimentConfig(**TINY_RUN_KWARGS).to_text())
     return str(path)
@@ -140,8 +139,9 @@ def test_checkpoint_without_a_config_hash_exits_two(tmp_path, capsys):
         assert _run(command, tmp_path, config=config) == 0, command
     # the same network saved under the run's seed but with no stored config hash
     path = tmp_path / "run" / "hash_model.json"
-    model, checkpoint = load_hash_model(path)
-    save_hash_model(path, model, seed=checkpoint.seed)
+    model, checkpoint = load_hash_model(path, ExperimentConfig(**TINY_RUN_KWARGS).config_hash())
+    save_hash_model(path, model, checkpoint.seed, None,
+                    {"final_loss": checkpoint.meta["final_loss"]})
     capsys.readouterr()
     assert _run(["encode-db"], tmp_path, config=config) == 2
     assert "not written under the requested configuration" in capsys.readouterr().err

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hashattack import evaluation, experiment
+from hashattack.checkpoint import _canonical_digest, load_checkpoint
 from hashattack.config import ExperimentConfig
 from hashattack.data import gen_synthetic_dataset, load_bundle, save_bundle
 from hashattack.errors import (
@@ -75,6 +76,29 @@ def test_config_change_is_caught_between_stages(tiny_config, tmp_path):
     changed = dataclasses.replace(tiny_config, code_length=10)
     with pytest.raises(CheckpointMismatchError):
         experiment.execute_stage("encode_db", changed, 5, tmp_path)
+
+
+def test_a_stored_seed_must_be_the_run_int(tiny_config, tmp_path):
+    experiment.execute_stage("gen_data", tiny_config, 1, tmp_path)
+    experiment.execute_stage("train_hash", tiny_config, 1, tmp_path)
+    path = tmp_path / "hash_model.json"
+    payload = json.loads(path.read_text())
+    # True == 1 and 1.0 == 1 in Python, so equality alone would pass both
+    for stored in (True, 1.0, "1", None):
+        payload["seed"] = stored
+        body = {k: v for k, v in payload.items() if k != "checksum"}
+        path.write_text(json.dumps({**body, "checksum": _canonical_digest(body)}))
+        with pytest.raises(CheckpointMismatchError, match="written under seed"):
+            experiment.execute_stage("encode_db", tiny_config, 1, tmp_path)
+
+
+def test_every_model_checkpoint_names_its_run(tiny_config, tmp_path):
+    for name in ("gen_data", "train_hash", "train_attack", "attack", "transfer_eval"):
+        experiment.execute_stage(name, tiny_config, 5, tmp_path)
+    for name, kind in (("hash_model.json", "hash_model"), ("attack_stack.json", "attack_stack"),
+                       ("transfer_model.json", "hash_model")):
+        checkpoint = load_checkpoint(tmp_path / name, kind, tiny_config.config_hash())
+        assert (type(checkpoint.seed), checkpoint.seed) == (int, 5), name
 
 
 def test_full_pipeline_outputs(tiny_config, tmp_path):

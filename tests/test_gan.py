@@ -159,10 +159,9 @@ def test_discriminator_shape_and_range(rng):
     scores = disc.forward(rng.random((4, 6))).values
     assert scores.shape == (4, 4)
     assert scores.min() > 0.0 and scores.max() < 1.0
-    with pytest.raises(DimensionError):
-        Discriminator(MLP.create(rng, [6, 5, 3], ["relu", "sigmoid"]), 3)
+    assert disc.classes == 3
     with pytest.raises(InputError):
-        Discriminator(MLP.create(rng, [6, 5, 4], ["relu", "tanh"]), 3)
+        Discriminator(MLP.create(rng, [6, 5, 4], ["relu", "tanh"]))
 
 
 def _mini_setup(seed=0, **overrides):
