@@ -75,10 +75,10 @@ def iterative_gradient_attack(model, images, target_codes, config):
     high = np.clip(images + config.epsilon, 0.0, 1.0)
     perturbed = images.copy()
     for _ in range(config.iterations):
-        tape = T.Tape()
-        current = tape.watch(T.Tensor(perturbed))
-        objective = loss_hamming(target_codes, model.forward(current))
-        gradient = T.backward(tape, objective).wrt(current)
+        with T.Tape() as tape:
+            current = tape.watch(T.Tensor(perturbed))
+            objective = loss_hamming(target_codes, model.forward(current))
+            gradient = T.backward(tape, objective).wrt(current)
         perturbed = np.clip(perturbed - config.step_size * np.sign(gradient), low, high)
     return perturbed
 

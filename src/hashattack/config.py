@@ -2,10 +2,10 @@
 
 One config drives every pipeline stage and every library entry that
 takes one.  It checks every value when it is built, so a config that
-exists is valid and no caller checks it again.  Serialization is canonical
-(fixed field order, repr floats, comma-joined width tuples), so the
-hash of the text identifies the configuration and checkpoints can
-refuse to load under a different one.
+exists is valid, reads back from its own text, and no caller checks it
+again.  Serialization is canonical (fixed field order, repr floats,
+comma-joined width tuples), so the hash of the text identifies the
+configuration and checkpoints can refuse to load under a different one.
 """
 
 import hashlib
@@ -84,7 +84,10 @@ class ExperimentConfig:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
             if key in values:
                 raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-            values[key] = _parse(known[key].type, key, value.strip(), lineno)
+            try:
+                values[key] = _parse(known[key].type, value.strip())
+            except ValueError as err:
+                raise ConfigError(f"line {lineno}: bad value for {key!r}: {err}") from err
         return cls(**values)
 
     @classmethod
@@ -102,11 +105,17 @@ class ExperimentConfig:
         return hashlib.sha256(self.to_text().encode()).hexdigest()
 
     def __post_init__(self):
-        """The one check of every value; construction refuses an invalid config."""
+        """The one check of every value; each field stores what its text reads back as."""
         for spec in fields(self):
             value = getattr(self, spec.name)
-            if spec.type is float and not math.isfinite(value):
-                raise ConfigError(f"{spec.name} must be finite, got {value!r}")
+            try:
+                parsed = _parse(spec.type, _format(spec.type, value))
+                # equal is not enough: a float field reads True as 1.0, a bool field 1 as True
+                if parsed != value or isinstance(value, bool) != (spec.type is bool):
+                    raise ValueError(f"its text reads back as {parsed!r}")
+            except (TypeError, ValueError, OverflowError) as err:
+                raise ConfigError(f"{spec.name} cannot be {value!r}: {err}") from err
+            object.__setattr__(self, spec.name, parsed)
         for names, holds, requirement in _RULES:
             for name in names:
                 value = getattr(self, name)
@@ -153,26 +162,23 @@ def _format(kind, value):
     if kind is float:
         return repr(float(value))
     if kind is tuple:
-        return ",".join(str(int(v)) for v in value)
+        return ",".join(str(v) for v in value)
     return str(value)
 
 
-def _parse(kind, key, text, lineno):
-    try:
-        if kind is bool:
-            if text == "true":
-                return True
-            if text == "false":
-                return False
+def _parse(kind, text):
+    """The value of a ``kind`` field that ``text`` spells; ``ValueError`` if none."""
+    if kind is bool:
+        if text not in ("true", "false"):
             raise ValueError(f"expected true or false, got {text!r}")
-        if kind is int:
-            return int(text)
-        if kind is float:
-            return float(text)
-        if kind is tuple:
-            if not text:
-                return ()
-            return tuple(int(piece.strip()) for piece in text.split(","))
-    except ValueError as err:
-        raise ConfigError(f"line {lineno}: bad value for {key!r}: {err}") from err
-    raise ConfigError(f"line {lineno}: no parser for field type {kind!r}")
+        return text == "true"
+    if kind is int:
+        return int(text)
+    if kind is float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"must be finite, got {text!r}")
+        return value
+    if not text:
+        return ()
+    return tuple(int(piece.strip()) for piece in text.split(","))

@@ -120,7 +120,8 @@ def _load_codes(out):
 
 def _load_examples(out, slug, queries, targets):
     """A method's perturbed block, refused unless it attacks this run's queries and targets."""
-    path = _require(Path(out) / f"adversarial_{slug}.npz", slug)
+    hint = "attack" if slug == "prosgan" else f"baseline {slug}"
+    path = _require(Path(out) / f"adversarial_{slug}.npz", hint)
     originals, perturbed, stored_targets = load_npz(
         path, ("originals", "perturbed", "target_labels"))
     if not (np.array_equal(originals, queries) and np.array_equal(stored_targets, targets)

@@ -322,28 +322,25 @@ def train_attack_gan(images, labels, hash_model, config, rng):
                                          (stack.generator, opt_generator, False),
                                          (stack.discriminator, opt_discriminator, True)):
                 # only the stepped network goes on the tape, so backward
-                # skips the idle networks' weight gradients; the detach
-                # frees the idle ones from the previous step's tape
-                tape = T.Tape()
-                stack.detach()
-                watch_parameters(tape, net)
-                losses = _BatchLosses(stack, hash_model, code_matrix, images[batch],
-                                      labels[batch], targets, labels, config, stepped=net)
-                if batch_values is None:
-                    batch_values = losses.values()
-                minimax = losses.minimax()
-                if flip:
-                    minimax = T.scale(minimax, -1.0)
-                objective = T.scale(minimax, 1.0 / batch.shape[0])
-                if not np.isfinite(objective.values):
-                    raise TrainingDivergedError(
-                        epoch, f"training diverged at epoch {epoch}, batch {batch_index}"
-                    )
-                optimizer.step(T.backward(tape, objective))
+                # skips the idle networks' weight gradients
+                with T.Tape() as tape:
+                    watch_parameters(tape, net)
+                    losses = _BatchLosses(stack, hash_model, code_matrix, images[batch],
+                                          labels[batch], targets, labels, config, stepped=net)
+                    if batch_values is None:
+                        batch_values = losses.values()
+                    minimax = losses.minimax()
+                    if flip:
+                        minimax = T.scale(minimax, -1.0)
+                    objective = T.scale(minimax, 1.0 / batch.shape[0])
+                    if not np.isfinite(objective.values):
+                        raise TrainingDivergedError(
+                            epoch, f"training diverged at epoch {epoch}, batch {batch_index}"
+                        )
+                    optimizer.step(T.backward(tape, objective))
             epoch_rows.append(batch_values)
         means = np.mean(np.asarray(epoch_rows), axis=0)
         history.append((epoch, float(means[0]), float(means[1]), float(means[2])))
-    stack.detach()
     # a NaN only the pruned steps skip shows at the next batch's full pass; the last has none
     if not all(np.isfinite(p.values).all() for p in stack.parameters()):
         raise TrainingDivergedError(epoch, "training left non-finite attack weights")

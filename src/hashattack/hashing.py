@@ -134,18 +134,17 @@ def train_target_model(images, labels, code_length, hidden_widths, config, rng):
             batch = order[start:start + config.hash_batch_size]
             if batch.shape[0] < 2:
                 continue
-            tape = T.Tape()
-            watch_parameters(tape, model)
-            continuous = model.forward(T.Tensor(images[batch]))
-            similarity = build_similarity_matrix(labels[batch], labels[batch])
-            loss = pairwise_code_loss(continuous, similarity, config.quantization_weight)
-            value = float(loss.values)
-            if not np.isfinite(value):
-                raise TrainingDivergedError(epoch)
-            epoch_losses.append(value)
-            optimizer.step(T.backward(tape, loss))
+            with T.Tape() as tape:
+                watch_parameters(tape, model)
+                continuous = model.forward(T.Tensor(images[batch]))
+                similarity = build_similarity_matrix(labels[batch], labels[batch])
+                loss = pairwise_code_loss(continuous, similarity, config.quantization_weight)
+                value = float(loss.values)
+                if not np.isfinite(value):
+                    raise TrainingDivergedError(epoch)
+                epoch_losses.append(value)
+                optimizer.step(T.backward(tape, loss))
         history.append(float(np.mean(epoch_losses)))
-    model.detach()
     return model, history
 
 

@@ -34,10 +34,6 @@ class Module:
     def parameters(self):
         return [param for _, param in self.named_parameters()]
 
-    def detach(self):
-        """Clear any tape attachment left on the parameters by training."""
-        T.detach(*self.parameters())
-
     def state_dict(self):
         """Named copies of every parameter array, for persistence."""
         return {name: param.values.copy() for name, param in self.named_parameters()}
@@ -108,11 +104,6 @@ class MLP(Module):
         layers = list(layers)
         if not layers:
             raise DimensionError("a network needs at least one layer")
-        for prev, nxt in zip(layers, layers[1:]):
-            if prev.weight.shape[1] != nxt.weight.shape[0]:
-                raise DimensionError(
-                    f"consecutive layers disagree: {prev.weight.shape} feeds {nxt.weight.shape}"
-                )
         self.layers = layers
 
     @classmethod

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import DimensionError, InputError
+from .errors import InputError
 from .hashing import binarize
 from .layers import MLP, DenseLayer, Module
 
@@ -32,12 +32,6 @@ class PrototypeNet(Module):
             raise InputError("code head must use tanh to bound continuous codes")
         if label_head.activation != "sigmoid":
             raise InputError("label head must use sigmoid for per-class scores")
-        width = trunk.output_width
-        if code_head.weight.shape[0] != width or label_head.weight.shape[0] != width:
-            raise DimensionError(
-                f"heads must consume the trunk width {width}, got "
-                f"{code_head.weight.shape} and {label_head.weight.shape}"
-            )
         self.trunk = trunk
         self.code_head = code_head
         self.label_head = label_head
@@ -69,13 +63,10 @@ class PrototypeNet(Module):
     def forward(self, labels):
         """Traced outputs for a (batch, classes) 0/1 label matrix."""
         labels = T._as_tensor(labels)
-        if labels.values.ndim != 2 or labels.values.shape[1] != self.classes:
-            raise DimensionError(
-                f"expected labels (batch, {self.classes}), got {labels.values.shape}"
-            )
+        # the trunk's first matmul checks the shape, so the row sums below see a matrix
+        rep = self.trunk.forward(labels)
         if np.any(labels.values.sum(axis=1) == 0):
             raise InputError("a target label with no class is meaningless")
-        rep = self.trunk.forward(labels)
         return PrototypeOutput(
             representation=rep,
             continuous_code=self.code_head.forward(rep),

@@ -3,7 +3,9 @@
 A ``Tape`` records operations in execution order.  Leaves are registered
 with ``Tape.watch``; every op whose inputs touch the tape appends one
 node holding, per recorded parent, a function that maps the output
-gradient to that parent's gradient contribution.  ``backward`` walks the
+gradient to that parent's gradient contribution.  Used as a ``with``
+block, a tape releases the leaves it watched when the block ends, so
+later ops treat them as constants again.  ``backward`` walks the
 node list once in reverse from a scalar root, accumulating into a table
 indexed by node position.  Parents always precede children in the list,
 so a single reverse sweep suffices and nodes recorded after the root are
@@ -59,6 +61,17 @@ class Tape:
 
     def __init__(self):
         self.nodes = []
+        self._watched = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        """Release every watched leaf still attached here; exceptions propagate."""
+        for tensor in self._watched:
+            if tensor.tape is self:
+                tensor.tape = None
+                tensor.index = None
 
     def watch(self, tensor):
         """Attach ``tensor`` as a leaf of this tape and return it.
@@ -72,6 +85,7 @@ class Tape:
         tensor.tape = self
         tensor.index = len(self.nodes)
         self.nodes.append(_Node((), ()))
+        self._watched.append(tensor)
         return tensor
 
 
@@ -242,13 +256,6 @@ def relu(t):
     tv = t.values
     out = Tensor(np.maximum(tv, 0.0))
     return _record(out, (t,), (lambda g: g * (tv > 0.0),))
-
-
-def detach(*tensors):
-    """Drop tape attachments so later ops treat these tensors as constants."""
-    for t in tensors:
-        t.tape = None
-        t.index = None
 
 
 def tanh(t):

@@ -1,12 +1,15 @@
 """Command line interface behavior and exit code tests."""
 
 import json
+import re
 
 import pytest
 
 from hashattack.checkpoint import load_hash_model, save_hash_model
-from hashattack.cli import main
+from hashattack.cli import build_parser, main
 from hashattack.config import ExperimentConfig
+from hashattack.errors import CheckpointMissingError
+from hashattack.experiment import _load_examples
 from tests.conftest import TINY_RUN_KWARGS
 
 
@@ -83,6 +86,25 @@ def test_stage_failure_exits_two(tmp_path, capsys):
     assert _run(["train-hash"], tmp_path, config=config) == 2
     err = capsys.readouterr().err
     assert "train_hash failed" in err and "gen-data" in err
+
+
+def test_transfer_eval_before_attack_names_the_attack_command(tmp_path, capsys):
+    config = _config_file(tmp_path)
+    assert _run(["gen-data"], tmp_path, config=config) == 0
+    capsys.readouterr()
+    assert _run(["transfer-eval"], tmp_path, config=config) == 2
+    assert "missing adversarial_prosgan.npz; run attack first" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "transfer_model.json").exists()
+
+
+@pytest.mark.parametrize("slug", ["prosgan", "p2p", "dhta", "noise"])
+def test_a_missing_attack_output_names_the_command_that_writes_it(tmp_path, slug):
+    with pytest.raises(CheckpointMissingError, match=f"adversarial_{slug}.npz") as caught:
+        _load_examples(tmp_path, slug, None, None)
+    hint = re.fullmatch(r"missing \S+; run (.+) first", str(caught.value)).group(1)
+    args = build_parser().parse_args([*hint.split(), "--seed", "1", "--out", str(tmp_path)])
+    assert (args.method if args.command == "baseline" else args.command) == (
+        "attack" if slug == "prosgan" else slug)
 
 
 def test_gen_data_success_prints_summary(tmp_path, capsys):

@@ -6,8 +6,9 @@ from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hashattack.config import ExperimentConfig
@@ -199,3 +200,44 @@ def test_fuzzed_file_bytes_load_or_raise_config_error(data):
         path = Path(scratch) / "fuzzed.cfg"
         path.write_bytes(data)
         _loads_or_config_error(ExperimentConfig.from_file, path)
+
+
+def test_a_field_stores_what_its_text_reads_back_as():
+    config = ExperimentConfig(epsilon=1, step_size=1, hash_hidden_widths=(np.int64(32),))
+    assert type(config.epsilon) is float and config.epsilon == 1.0
+    assert config.hash_hidden_widths == (32,) and type(config.hash_hidden_widths[0]) is int
+    for key, value in (("epsilon", True), ("disable_hamming_loss", 1), ("code_length", 12.0),
+                       ("hash_hidden_widths", [32]), ("hash_hidden_widths", (True,)),
+                       ("noise_sigma", "0.5"), ("epsilon", None), ("epsilon", 10 ** 400)):
+        with pytest.raises(ConfigError, match=key) as caught:
+            ExperimentConfig(**{key: value})
+        assert type(caught.value) is ConfigError
+
+
+# Drawn keyword sets: each drawn field gets a value of its own type or of
+# any other, so that some draws build and the rest probe the refusals.
+_NUMBERS = st.integers(-3, 300) | st.floats() | st.booleans()
+_ANY_VALUE = (_NUMBERS | st.none() | st.text(max_size=4) | st.integers(-3, 300).map(str)
+              | st.lists(_NUMBERS, max_size=3) | st.lists(_NUMBERS, max_size=3).map(tuple))
+_OWN_TYPE = {int: st.integers(2, 300), float: st.floats(0.0, 1.0) | st.integers(0, 1),
+             bool: st.booleans(), tuple: st.lists(st.integers(1, 300), max_size=3).map(tuple)}
+_KWARGS = st.sets(st.sampled_from(fields(ExperimentConfig)), max_size=4).flatmap(
+    lambda specs: st.fixed_dictionaries(
+        {spec.name: _OWN_TYPE[spec.type] | _ANY_VALUE for spec in specs}))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_KWARGS)
+@example({"code_length": 12.5})
+@example({"disable_hamming_loss": "false"})
+@example({"hash_hidden_widths": (128.7,)})
+@example({"attack_epochs": True})
+@example({"code_length": "12"})
+def test_every_config_that_exists_round_trips_through_its_text(kwargs):
+    try:
+        config = ExperimentConfig(**kwargs)
+    except ConfigError:
+        return
+    back = ExperimentConfig.from_text(config.to_text())
+    assert back == config
+    assert back.config_hash() == config.config_hash()

@@ -223,16 +223,14 @@ def test_minimax_objective_gradients_match_finite_differences():
             p.values = a.copy()
         return (pair + gen - dis) / 3.0
 
-    tape = T.Tape()
-    for p in params:
-        tape.watch(p)
-    losses = _BatchLosses(stack, hash_model, code_matrix, batch, batch_labels,
-                          targets, labels, config, stack.prototype)
-    objective = T.scale(losses.minimax(), 1.0 / 3.0)
-    grads = T.backward(tape, objective)
-    analytic = [grads.wrt(p) for p in params]
-    for p in params:
-        T.detach(p)
+    with T.Tape() as tape:
+        for p in params:
+            tape.watch(p)
+        losses = _BatchLosses(stack, hash_model, code_matrix, batch, batch_labels,
+                              targets, labels, config, stack.prototype)
+        objective = T.scale(losses.minimax(), 1.0 / 3.0)
+        grads = T.backward(tape, objective)
+        analytic = [grads.wrt(p) for p in params]
     numeric = finite_difference(objective_value, base)
     for got, want in zip(analytic, numeric):
         assert_grad_close(got, want)
@@ -245,16 +243,15 @@ def test_watching_only_the_stepped_network_keeps_its_gradient_exact():
     nets = (stack.prototype, stack.generator, stack.discriminator)
 
     def gradients(watched, stepped, flip):
-        stack.detach()
-        tape = T.Tape()
-        watch_parameters(tape, *watched)
-        losses = _BatchLosses(stack, hash_model, code_matrix, images[:3], labels[:3],
-                              targets, labels, config, stack.prototype)
-        minimax = losses.minimax()
-        if flip:
-            minimax = T.scale(minimax, -1.0)
-        grads = T.backward(tape, T.scale(minimax, 1.0 / 3.0))
-        return [grads.wrt(p) for p in stepped.parameters()]
+        with T.Tape() as tape:
+            watch_parameters(tape, *watched)
+            losses = _BatchLosses(stack, hash_model, code_matrix, images[:3], labels[:3],
+                                  targets, labels, config, stack.prototype)
+            minimax = losses.minimax()
+            if flip:
+                minimax = T.scale(minimax, -1.0)
+            grads = T.backward(tape, T.scale(minimax, 1.0 / 3.0))
+            return [grads.wrt(p) for p in stepped.parameters()]
 
     for net, flip in zip(nets, (False, False, True)):
         alone = gradients((net,), net, flip)
@@ -262,7 +259,6 @@ def test_watching_only_the_stepped_network_keeps_its_gradient_exact():
         assert any(np.any(g != 0.0) for g in alone)
         for a, b in zip(alone, joint):
             assert np.array_equal(a, b)
-    stack.detach()
 
 
 @pytest.mark.parametrize("disable_hamming_loss", [False, True])
@@ -290,17 +286,16 @@ def test_pruned_steps_keep_the_stepped_gradient_exact(monkeypatch, disable_hammi
     count(gan, "loss_reconstruction", "reconstruction")
 
     def step(net, stepped, flip):
-        stack.detach()
         calls.clear()
-        tape = T.Tape()
-        watch_parameters(tape, net)
-        losses = _BatchLosses(stack, hash_model, code_matrix, images[:3], labels[:3],
-                              targets, labels, config, stepped=stepped)
-        minimax = losses.minimax()
-        if flip:
-            minimax = T.scale(minimax, -1.0)
-        grads = T.backward(tape, T.scale(minimax, 1.0 / 3.0))
-        return [grads.wrt(p) for p in net.parameters()], len(tape.nodes), Counter(calls)
+        with T.Tape() as tape:
+            watch_parameters(tape, net)
+            losses = _BatchLosses(stack, hash_model, code_matrix, images[:3], labels[:3],
+                                  targets, labels, config, stepped=stepped)
+            minimax = losses.minimax()
+            if flip:
+                minimax = T.scale(minimax, -1.0)
+            grads = T.backward(tape, T.scale(minimax, 1.0 / 3.0))
+            return [grads.wrt(p) for p in net.parameters()], len(tape.nodes), Counter(calls)
 
     hash_forwards = 0 if disable_hamming_loss else 1
     expected = (  # terms each step still builds
@@ -322,7 +317,6 @@ def test_pruned_steps_keep_the_stepped_gradient_exact(monkeypatch, disable_hammi
             assert pruned_nodes == full_nodes
         else:
             assert pruned_nodes < full_nodes
-    stack.detach()
 
 
 def _pick_targets_per_row(rng, labels, label_set):
@@ -405,6 +399,8 @@ def test_training_updates_all_three_networks_and_freezes_hash_model():
                    for a, b in zip(trained, initial))
     for p, before in zip(hash_model.net.parameters(), frozen):
         assert np.array_equal(p.values, before)
+    # each step's tape released the network it watched
+    assert all(p.tape is None for p in stack.parameters())
     assert len(history) == config.attack_epochs
     assert len(history[0]) == 4
     assert all(np.isfinite(row[1:]).all() for row in np.asarray(history))

@@ -35,9 +35,11 @@ def test_mlp_shape_checks():
         MLP.create(np.random.default_rng(0), [3], [])
     with pytest.raises(DimensionError):
         MLP.create(np.random.default_rng(0), [3, 4], ["relu", "relu"])
-    with pytest.raises(DimensionError):
-        MLP([DenseLayer(np.zeros((3, 4)), np.zeros(4), "relu"),
-             DenseLayer(np.zeros((5, 2)), np.zeros(2), "relu")])
+    # a mis-composed stack builds, and its first forward's matmul refuses it
+    miscomposed = MLP([DenseLayer(np.zeros((3, 4)), np.zeros(4), "relu"),
+                       DenseLayer(np.zeros((5, 2)), np.zeros(2), "relu")])
+    with pytest.raises(DimensionError, match="inner dimensions"):
+        miscomposed.forward(T.Tensor(np.zeros((7, 3))))
 
 
 def test_same_seed_same_weights():
@@ -106,15 +108,31 @@ def test_untraced_forward_matches_traced(rng):
         net.forward_values(np.zeros((2, 4)))
 
 
-def test_detach_clears_tape_attachment(rng):
+def test_tape_block_releases_what_it_watched(rng):
     net = MLP.create(rng, [2, 3], ["tanh"])
-    tape = T.Tape()
-    watch_parameters(tape, net)
-    assert all(p.tape is tape for p in net.parameters())
-    net.detach()
+    with T.Tape() as tape:
+        watch_parameters(tape, net)
+        assert all(p.tape is tape for p in net.parameters())
+    assert all(p.tape is None and p.index is None for p in net.parameters())
+    assert net.forward(T.Tensor(np.zeros((1, 2)))).tape is None
+
+    # a block that raises releases them too, and the error propagates
+    with pytest.raises(DimensionError):
+        with T.Tape() as tape:
+            watch_parameters(tape, net)
+            net.forward(T.Tensor(np.zeros((1, 5))))
     assert all(p.tape is None for p in net.parameters())
-    out = net.forward(T.Tensor(np.zeros((1, 2))))
-    assert out.tape is None
+
+    # a tensor that a later tape re-watched stays on that tape
+    later = T.Tape()
+    with T.Tape() as tape:
+        watch_parameters(tape, net)
+        watch_parameters(later, net)
+    assert all(p.tape is later for p in net.parameters())
+    with later:
+        grads = T.backward(later, T.total(net.forward(T.Tensor(np.ones((1, 2))))))
+        assert any(np.any(grads.wrt(p) != 0.0) for p in net.parameters())
+    assert all(p.tape is None for p in net.parameters())
 
 
 def test_architecture_summary():

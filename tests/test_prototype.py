@@ -59,6 +59,8 @@ def test_all_zero_label_rejected(rng):
         net.forward(T.Tensor(np.zeros((2, 3))))
     with pytest.raises(DimensionError):
         net.forward(np.ones((1, 5)))
+    with pytest.raises(DimensionError):
+        net.forward(np.ones(3))
 
 
 def test_forward_matches_straight_line_oracle(rng):
@@ -79,11 +81,11 @@ def test_forward_matches_straight_line_oracle(rng):
 def test_traced_and_untraced_forward_agree(rng):
     net = PrototypeNet.create(rng, 4, 5, hidden_widths=(64, 32), representation_width=32)
     y = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
-    tape = T.Tape()
-    watch_parameters(tape, net)
-    out = net.forward(T.Tensor(y))
-    assert out.continuous_code.tape is tape
-    net.detach()
+    with T.Tape() as tape:
+        watch_parameters(tape, net)
+        out = net.forward(T.Tensor(y))
+        assert out.continuous_code.tape is tape
+    assert net.forward(y).continuous_code.tape is None
     rep, code, pred = _output_values(net, y)
     assert np.array_equal(out.representation.values, rep)
     assert np.array_equal(out.continuous_code.values, code)
@@ -98,8 +100,13 @@ def test_head_validation(rng):
         PrototypeNet(trunk, DenseLayer.create(rng, 5, 4, "relu"), sig_head)
     with pytest.raises(InputError):
         PrototypeNet(trunk, tanh_head, DenseLayer.create(rng, 5, 3, "tanh"))
-    with pytest.raises(DimensionError):
-        PrototypeNet(trunk, DenseLayer.create(rng, 6, 4, "tanh"), sig_head)
+    # a head that does not consume the trunk width builds, and the first
+    # forward's matmul refuses it
+    for code_head, label_head in ((DenseLayer.create(rng, 6, 4, "tanh"), sig_head),
+                                  (tanh_head, DenseLayer.create(rng, 6, 3, "sigmoid"))):
+        net = PrototypeNet(trunk, code_head, label_head)
+        with pytest.raises(DimensionError, match="inner dimensions"):
+            net.forward(np.array([[1.0, 0.0, 0.0]]))
 
 
 def test_loss_pair_term_at_zero_inner_product_is_log_two():
