@@ -58,6 +58,12 @@ def anchor_code_for_label(target_label, db_labels, code_matrix, rng, set_size):
     return anchor_code(code_matrix[:, chosen].T)
 
 
+def anchor_codes(target_labels, db_labels, code_matrix, rng, set_size):
+    """The (count, K) block of anchor codes, one per target label, drawn in row order."""
+    return np.stack([anchor_code_for_label(target, db_labels, code_matrix, rng, set_size)
+                     for target in target_labels])
+
+
 def iterative_gradient_attack(model, images, target_codes, config):
     """Signed-gradient descent on the code-alignment loss within an L-inf ball.
 
@@ -91,9 +97,7 @@ def p2p_attack(model, images, target_labels, db_labels, code_matrix, config, rng
 
 def anchor_attack(model, images, target_labels, db_labels, code_matrix, config, rng):
     """Anchor-code attacks over ``config.anchor_set_size`` items per row pair."""
-    codes = [anchor_code_for_label(target, db_labels, code_matrix, rng,
-                                   config.anchor_set_size)
-             for target in target_labels]
+    codes = anchor_codes(target_labels, db_labels, code_matrix, rng, config.anchor_set_size)
     return iterative_gradient_attack(model, images, codes, config)
 
 

@@ -121,10 +121,6 @@ class ExperimentConfig:
                 value = getattr(self, name)
                 if not holds(value):
                     raise ConfigError(f"{name} must be {requirement}, got {value!r}")
-        for name in _WIDTH_LISTS:
-            widths = getattr(self, name)
-            if any(width < 1 for width in widths):
-                raise ConfigError(f"{name}: widths must be positive, got {widths}")
         # epsilon 0 is the degenerate no-perturbation budget; otherwise
         # a single step must stay inside the ball
         if self.epsilon > 0.0 and self.step_size > self.epsilon:
@@ -136,12 +132,12 @@ class ExperimentConfig:
 # (fields, test each value passes, requirement named in the error)
 _RULES = (
     (("classes",), lambda v: v >= 2, "at least 2"),
-    (("image_height", "image_width", "image_channels", "train_size",
+    (("image_height", "image_width", "image_channels",
       "database_size", "query_size", "code_length", "transfer_code_length",
       "hash_epochs", "attack_epochs", "attack_batch_size", "representation_width",
       "decoder_hidden", "generator_bottleneck", "iterations", "anchor_set_size"),
      lambda v: v >= 1, "positive"),
-    (("hash_batch_size",), lambda v: v >= 2, "at least 2 for pairwise training"),
+    (("train_size", "hash_batch_size"), lambda v: v >= 2, "at least 2 for pairwise training"),
     (("hash_learning_rate", "attack_learning_rate", "discriminator_learning_rate",
       "step_size"),
      lambda v: v > 0.0, "positive"),
@@ -150,10 +146,10 @@ _RULES = (
      lambda v: v >= 0.0, "non-negative"),
     (("extra_class_probability",), lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
     (("template_contrast",), lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    (("hash_hidden_widths", "transfer_hidden_widths", "prototype_hidden_widths",
+      "discriminator_hidden_widths"),
+     lambda v: all(width >= 1 for width in v), "positive"),
 )
-
-_WIDTH_LISTS = ("hash_hidden_widths", "transfer_hidden_widths",
-                "prototype_hidden_widths", "discriminator_hidden_widths")
 
 
 def _format(kind, value):

@@ -10,7 +10,7 @@ are 0/1 indicator vectors.
 
 import zlib
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -106,8 +106,8 @@ def unique_labels(labels):
     return np.unique(labels, axis=0)
 
 
-BUNDLE_KEYS = ("image_spec", "class_templates", "train_images", "train_labels",
-               "database_images", "database_labels", "query_images", "query_labels")
+# the field order is the archive order
+BUNDLE_KEYS = tuple(spec.name for spec in fields(DatasetBundle))
 
 
 def load_npz(path, keys):

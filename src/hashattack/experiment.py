@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import anchor_attack, anchor_code_for_label, noise_queries, p2p_attack
+from .baselines import anchor_attack, anchor_codes, noise_queries, p2p_attack
 from .checkpoint import (
     load_attack_stack,
     load_hash_model,
@@ -202,15 +202,13 @@ def stage_attack(config, seed, out, method):
     elif method == "noise":
         generate = functools.partial(noise_queries, queries, config.epsilon,
                                      stage_rng(seed, "noise"))
-    elif method in ("p2p", "dhta"):
+    else:  # p2p or dhta, the only other methods in _STAGE_TABLE
         model = _load_hash(config, seed, out)
         matrix = _load_codes(out)
         attack = p2p_attack if method == "p2p" else anchor_attack
         generate = functools.partial(attack, model, queries, targets,
                                      bundle.database_labels, matrix, config,
                                      stage_rng(seed, method))
-    else:
-        raise InputError(f"unknown attack method {method!r}")
     started = time.perf_counter()
     perturbed = generate()
     elapsed = time.perf_counter() - started
@@ -269,13 +267,9 @@ def stage_eval(config, seed, out):
                                     mean_perceptibility(bundle.query_images, perturbed))
 
     # upper references: rank by the chosen target codes themselves
-    anchor_rng = stage_rng(seed, "anchor")
-    anchor_codes = np.stack([
-        anchor_code_for_label(target, db_labels, matrix, anchor_rng,
-                              config.anchor_set_size)
-        for target in targets
-    ])
-    curves["anchor"] = evaluate_queries(anchor_codes, matrix, db_labels, targets)[0]
+    anchors = anchor_codes(targets, db_labels, matrix, stage_rng(seed, "anchor"),
+                           config.anchor_set_size)
+    curves["anchor"] = evaluate_queries(anchors, matrix, db_labels, targets)[0]
     methods["Anchor-code"] = _method_row(curves["anchor"])
 
     stack_path = out / "attack_stack.json"

@@ -223,22 +223,22 @@ class _BatchLosses:
             )
 
         image_tensor = T.Tensor(images)
-        self.perturbed = stack.generator.forward(image_tensor, proto.representation)
+        perturbed = stack.generator.forward(image_tensor, proto.representation)
         mask = None
         if config.disable_discriminator_classes:
             mask = np.zeros(stack.discriminator.classes + 1)
             mask[-1] = 1.0
-        fake_scores = stack.discriminator.forward(self.perturbed)
+        fake_scores = stack.discriminator.forward(perturbed)
         adv = loss_adversarial(fake_scores, target_labels, class_mask=mask)
         if stepped is stack.discriminator:
             gen = T.scale(adv, config.adversarial_weight)
         else:
-            recon = loss_reconstruction(image_tensor, self.perturbed)
+            recon = loss_reconstruction(image_tensor, perturbed)
             gen = T.add(T.scale(recon, config.reconstruction_weight),
                         T.scale(adv, config.adversarial_weight))
             if not config.disable_hamming_loss:
                 code_targets = binarize(proto.continuous_code.values)
-                adv_codes = hash_model.forward(self.perturbed)
+                adv_codes = hash_model.forward(perturbed)
                 gen = T.add(loss_hamming(code_targets, adv_codes), gen)
         self.loss_generator = gen
 
@@ -275,12 +275,10 @@ def train_attack_gan(images, labels, hash_model, config, rng):
     """
     images = np.asarray(images, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
-    if images.ndim != 2 or images.shape[0] == 0:
-        raise InputError("attack training needs a non-empty (N, pixels) image array")
+    code_matrix = encode_database(hash_model, images)
     if labels.shape[0] != images.shape[0]:
         raise DimensionError(f"got {images.shape[0]} images but {labels.shape[0]} label rows")
     label_set = unique_labels(labels)
-    code_matrix = encode_database(hash_model, images)
 
     rng = np.random.default_rng(rng)
     classes = labels.shape[1]
@@ -300,12 +298,12 @@ def train_attack_gan(images, labels, hash_model, config, rng):
             rng, pixels, classes, hidden=config.discriminator_hidden_widths,
         ),
     )
-    opt_prototype = Adam(stack.prototype.parameters(),
-                         learning_rate=config.attack_learning_rate)
-    opt_generator = Adam(stack.generator.parameters(),
-                         learning_rate=config.attack_learning_rate)
-    opt_discriminator = Adam(stack.discriminator.parameters(),
-                             learning_rate=config.discriminator_learning_rate)
+    # the alternating schedule: (stepped network, its optimizer, sign of the minimax)
+    steps = [(net, Adam(net.parameters(), learning_rate), sign)
+             for net, learning_rate, sign in (
+                 (stack.prototype, config.attack_learning_rate, 1.0),
+                 (stack.generator, config.attack_learning_rate, 1.0),
+                 (stack.discriminator, config.discriminator_learning_rate, -1.0))]
 
     count = images.shape[0]
     history = []
@@ -317,28 +315,21 @@ def train_attack_gan(images, labels, hash_model, config, rng):
             targets = _pick_targets(rng, labels[batch], label_set)
 
             # three alternating updates, each on a fresh forward pass
-            batch_values = None
-            for net, optimizer, flip in ((stack.prototype, opt_prototype, False),
-                                         (stack.generator, opt_generator, False),
-                                         (stack.discriminator, opt_discriminator, True)):
+            for net, optimizer, sign in steps:
                 # only the stepped network goes on the tape, so backward
                 # skips the idle networks' weight gradients
                 with T.Tape() as tape:
                     watch_parameters(tape, net)
                     losses = _BatchLosses(stack, hash_model, code_matrix, images[batch],
                                           labels[batch], targets, labels, config, stepped=net)
-                    if batch_values is None:
-                        batch_values = losses.values()
-                    minimax = losses.minimax()
-                    if flip:
-                        minimax = T.scale(minimax, -1.0)
-                    objective = T.scale(minimax, 1.0 / batch.shape[0])
+                    if net is stack.prototype:
+                        epoch_rows.append(losses.values())
+                    objective = T.scale(losses.minimax(), sign / batch.shape[0])
                     if not np.isfinite(objective.values):
                         raise TrainingDivergedError(
                             epoch, f"training diverged at epoch {epoch}, batch {batch_index}"
                         )
                     optimizer.step(T.backward(tape, objective))
-            epoch_rows.append(batch_values)
         means = np.mean(np.asarray(epoch_rows), axis=0)
         history.append((epoch, float(means[0]), float(means[1]), float(means[2])))
     # a NaN only the pruned steps skip shows at the next batch's full pass; the last has none

@@ -152,5 +152,5 @@ def encode_database(model, images):
     """(K, N) code matrix whose column j encodes database item j."""
     images = np.asarray(images, dtype=np.float64)
     if images.ndim != 2 or images.shape[0] == 0:
-        raise InputError("database must be a non-empty (N, pixels) array")
+        raise InputError("images must be a non-empty (N, pixels) array")
     return model.codes(images).T

@@ -297,13 +297,6 @@ def total(t):
     return _record(out, (t,), (lambda g: np.full(shape, float(g)),))
 
 
-def mean(t):
-    t = _as_tensor(t)
-    if t.values.size == 0:
-        raise DimensionError("mean of an empty tensor is undefined")
-    return scale(total(t), 1.0 / t.values.size)
-
-
 def concat(tensors, axis=0):
     tensors = [_as_tensor(t) for t in tensors]
     try:

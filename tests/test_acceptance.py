@@ -169,7 +169,6 @@ def _gradient_cases(rng):
     op_case("sigmoid", T.sigmoid, single())
     op_case("softplus", T.softplus, single())
     cases.append(("total", single(), lambda x: T.total(x)))
-    cases.append(("mean", single(), lambda x: T.mean(x)))
     axis = int(rng.integers(2))
     blocks = (rng.normal(size=(2, 3)), rng.normal(size=(2, 3)))
     stack_mask = rng.normal(size=(4, 3) if axis == 0 else (2, 6))

@@ -13,6 +13,7 @@ from hashattack.baselines import (
     anchor_attack,
     anchor_code,
     anchor_code_for_label,
+    anchor_codes,
     iterative_gradient_attack,
     noise_queries,
     p2p_attack,
@@ -352,13 +353,19 @@ def test_anchor_attack_draws_codes_like_sequential_calls(monkeypatch):
     sequential = np.random.default_rng(32)
     expected = [anchor_code_for_label(t, db_labels, code_matrix, sequential, set_size=3)
                 for t in targets]
+    after = sequential.random()
+    block = np.random.default_rng(32)
+    codes = anchor_codes(targets, db_labels, code_matrix, block, set_size=3)
+    assert codes.shape == (targets.shape[0], code_matrix.shape[0])
+    assert np.array_equal(codes, np.stack(expected))
+    assert block.random() == after
     calls = _spy_on_attack(monkeypatch)
     rng = np.random.default_rng(32)
     config = ExperimentConfig(epsilon=0.1, step_size=0.05, iterations=2, anchor_set_size=3)
     perturbed = anchor_attack(_small_model(), images, targets, db_labels, code_matrix,
                               config, rng)
     assert len(calls) == 1 and np.array_equal(calls[0], np.stack(expected))
-    assert rng.random() == sequential.random()
+    assert rng.random() == after
     assert perturbed.shape == images.shape
 
 

@@ -83,6 +83,8 @@ _VALIDATE_ROWS = [
     ({"image_width": 0}, "image_width"),
     ({"image_channels": 0}, "image_channels"),
     ({"train_size": 0}, "train_size"),
+    ({"train_size": 1}, "train_size"),
+    ({"train_size": 2}, None),
     ({"database_size": 0}, "database_size"),
     ({"query_size": 0}, "query_size"),
     ({"noise_sigma": -0.1}, "noise_sigma"),

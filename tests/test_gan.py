@@ -406,6 +406,29 @@ def test_training_updates_all_three_networks_and_freezes_hash_model():
     assert all(np.isfinite(row[1:]).all() for row in np.asarray(history))
 
 
+def test_history_rows_are_epoch_means_of_the_prototype_step_losses(monkeypatch):
+    config, hash_model, images, labels, label_set, code_matrix = _mini_setup(attack_epochs=2)
+    watched, returned = [], []
+    watch = gan.watch_parameters
+    monkeypatch.setattr(gan, "watch_parameters",
+                        lambda tape, net: watched.append(net) or watch(tape, net))
+    values = _BatchLosses.values
+
+    def spy(self):
+        returned.append((watched[-1], values(self)))
+        return returned[-1][1]
+
+    monkeypatch.setattr(_BatchLosses, "values", spy)
+    stack, history = train_attack_gan(images, labels, hash_model, config, 5)
+    batches = -(-images.shape[0] // config.attack_batch_size)
+    assert len(returned) == config.attack_epochs * batches
+    assert len(watched) == 3 * len(returned)
+    assert all(net is stack.prototype for net, _ in returned)
+    for epoch, row in enumerate(history):
+        losses = [values for _, values in returned[epoch * batches:(epoch + 1) * batches]]
+        assert row == (epoch, *(float(v) for v in np.mean(np.asarray(losses), axis=0)))
+
+
 def test_training_is_bit_reproducible():
     config, hash_model, images, labels, label_set, code_matrix = _mini_setup(
         seed=2, attack_epochs=2)

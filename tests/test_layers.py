@@ -59,11 +59,11 @@ def test_parameter_gradients_match_finite_differences(rng):
         stand_in = MLP.create(np.random.default_rng(0), [3, 4, 2], ["tanh", "sigmoid"])
         for p, a in zip(stand_in.parameters(), flat):
             p.values = np.array(a, copy=True)
-        return float(T.mean(T.square(stand_in.forward(T.Tensor(x)))).values)
+        return float(T.total(T.square(stand_in.forward(T.Tensor(x)))).values)
 
     tape = T.Tape()
     watch_parameters(tape, net)
-    loss = T.mean(T.square(net.forward(T.Tensor(x))))
+    loss = T.total(T.square(net.forward(T.Tensor(x))))
     grads = T.backward(tape, loss)
     numeric = finite_difference(loss_fn, arrays)
     for p, want in zip(params, numeric):
