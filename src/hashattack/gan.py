@@ -203,66 +203,52 @@ def _pick_targets(rng, labels, label_set):
     return label_set[choices]
 
 
-class _BatchLosses:
-    """One forward pass; losses live on the caller's tape.
+def _minimax(stack, hash_model, code_matrix, images, real_labels, target_labels,
+             item_labels, config, stepped):
+    """Pair + generator - discriminator loss of one forward pass, on the caller's tape.
 
-    Only the terms that depend on ``stepped`` are built, in the full pass's
-    order, so its gradient keeps its bits; the prototype step builds all.
+    Returns ``(objective, (pair, generator, discriminator))``.  Only the
+    terms that depend on ``stepped`` are built, in the full pass's order,
+    so its gradient keeps its bits; the prototype step builds all, and
+    ``pair`` is ``None`` on the other steps.
     """
+    proto = stack.prototype.forward(T.Tensor(target_labels))
+    pair = None
+    if stepped is stack.prototype:
+        similarity = build_similarity_matrix(target_labels, item_labels)
+        pair = loss_prototype(proto.continuous_code, code_matrix, similarity,
+                              proto.predicted_label, target_labels,
+                              config.alpha1, config.alpha2, config.alpha3)
 
-    def __init__(self, stack, hash_model, code_matrix, images, real_labels,
-                 target_labels, item_labels, config, stepped):
-        proto = stack.prototype.forward(T.Tensor(target_labels))
-        self.loss_pair = None
-        if stepped is stack.prototype:
-            similarity = build_similarity_matrix(target_labels, item_labels)
-            self.loss_pair = loss_prototype(
-                T.transpose(proto.continuous_code), code_matrix, similarity,
-                T.transpose(proto.predicted_label), target_labels.T,
-                config.alpha1, config.alpha2, config.alpha3,
-            )
+    image_tensor = T.Tensor(images)
+    perturbed = stack.generator.forward(image_tensor, proto.representation)
+    mask = None
+    if config.disable_discriminator_classes:
+        mask = np.zeros(stack.discriminator.classes + 1)
+        mask[-1] = 1.0
+    fake_scores = stack.discriminator.forward(perturbed)
+    adv = loss_adversarial(fake_scores, target_labels, class_mask=mask)
+    if stepped is stack.discriminator:
+        generator = T.scale(adv, config.adversarial_weight)
+    else:
+        recon = loss_reconstruction(image_tensor, perturbed)
+        generator = T.add(T.scale(recon, config.reconstruction_weight),
+                          T.scale(adv, config.adversarial_weight))
+        if not config.disable_hamming_loss:
+            code_targets = binarize(proto.continuous_code.values)
+            adv_codes = hash_model.forward(perturbed)
+            generator = T.add(loss_hamming(code_targets, adv_codes), generator)
 
-        image_tensor = T.Tensor(images)
-        perturbed = stack.generator.forward(image_tensor, proto.representation)
-        mask = None
-        if config.disable_discriminator_classes:
-            mask = np.zeros(stack.discriminator.classes + 1)
-            mask[-1] = 1.0
-        fake_scores = stack.discriminator.forward(perturbed)
-        adv = loss_adversarial(fake_scores, target_labels, class_mask=mask)
-        if stepped is stack.discriminator:
-            gen = T.scale(adv, config.adversarial_weight)
-        else:
-            recon = loss_reconstruction(image_tensor, perturbed)
-            gen = T.add(T.scale(recon, config.reconstruction_weight),
-                        T.scale(adv, config.adversarial_weight))
-            if not config.disable_hamming_loss:
-                code_targets = binarize(proto.continuous_code.values)
-                adv_codes = hash_model.forward(perturbed)
-                gen = T.add(loss_hamming(code_targets, adv_codes), gen)
-        self.loss_generator = gen
+    if stepped is stack.generator:
+        # the real side of the discriminator loss is constant here
+        discriminator = T.scale(_score_gap(fake_scores, target_labels, 1.0, mask), 0.5)
+    else:
+        real_scores = stack.discriminator.forward(image_tensor)
+        discriminator = loss_discriminator(real_scores, real_labels, fake_scores,
+                                           target_labels, class_mask=mask)
 
-        if stepped is stack.generator:
-            # the real side of the discriminator loss is constant here
-            fake_gap = _score_gap(fake_scores, target_labels, 1.0, mask)
-            self.loss_discriminator = T.scale(fake_gap, 0.5)
-        else:
-            real_scores = stack.discriminator.forward(image_tensor)
-            self.loss_discriminator = loss_discriminator(
-                real_scores, real_labels, fake_scores, target_labels, class_mask=mask,
-            )
-
-    def minimax(self):
-        """Pair loss + generator loss - discriminator loss, of the built terms."""
-        descent = self.loss_generator
-        if self.loss_pair is not None:
-            descent = T.add(self.loss_pair, descent)
-        return T.sub(descent, self.loss_discriminator)
-
-    def values(self):
-        return (float(self.loss_pair.values),
-                float(self.loss_generator.values),
-                float(self.loss_discriminator.values))
+    descent = generator if pair is None else T.add(pair, generator)
+    return T.sub(descent, discriminator), (pair, generator, discriminator)
 
 
 def train_attack_gan(images, labels, hash_model, config, rng):
@@ -320,11 +306,11 @@ def train_attack_gan(images, labels, hash_model, config, rng):
                 # skips the idle networks' weight gradients
                 with T.Tape() as tape:
                     watch_parameters(tape, net)
-                    losses = _BatchLosses(stack, hash_model, code_matrix, images[batch],
-                                          labels[batch], targets, labels, config, stepped=net)
+                    minimax, terms = _minimax(stack, hash_model, code_matrix, images[batch],
+                                              labels[batch], targets, labels, config, stepped=net)
                     if net is stack.prototype:
-                        epoch_rows.append(losses.values())
-                    objective = T.scale(losses.minimax(), sign / batch.shape[0])
+                        epoch_rows.append([float(t.values) for t in terms])
+                    objective = T.scale(minimax, sign / batch.shape[0])
                     if not np.isfinite(objective.values):
                         raise TrainingDivergedError(
                             epoch, f"training diverged at epoch {epoch}, batch {batch_index}"

@@ -2,7 +2,7 @@
 
 Maps a 0/1 class-indicator vector through a dense trunk to a semantic
 representation, then through two heads: a tanh head producing a
-continuous code column and a sigmoid head reconstructing the label.
+continuous code row and a sigmoid head reconstructing the label.
 The sign of the continuous code is the label's prototype code, used as
 the attack target for that label.
 """
@@ -88,12 +88,12 @@ class PrototypeNet(Module):
 
 def loss_prototype(continuous_codes, code_matrix, similarity, predicted_labels,
                    labels, alpha1, alpha2, alpha3):
-    """Prototype training loss over column-major operands.
+    """Prototype training loss over the row blocks ``PrototypeNet.forward`` emits.
 
-    ``continuous_codes`` is a traced (K, M) tensor of tanh outputs,
+    ``continuous_codes`` is a traced (M, K) tensor of tanh outputs,
     ``code_matrix`` the constant (K, N) database codes, ``similarity``
     the (M, N) 0/1 relevance between prototype labels and items, and
-    ``predicted_labels``/``labels`` are (C, M).  Three addends:
+    ``predicted_labels``/``labels`` are (M, C).  Three addends:
 
     - pair term: log(1 + exp(omega)) - s * omega over all (i, j) with
       omega = half the code inner product,
@@ -101,7 +101,7 @@ def loss_prototype(continuous_codes, code_matrix, similarity, predicted_labels,
       sign, the sign held constant in the gradient,
     - classification: squared gap between predicted and true labels.
     """
-    omega = T.scale(T.matmul(T.transpose(continuous_codes), T.Tensor(code_matrix)), 0.5)
+    omega = T.scale(T.matmul(continuous_codes, T.Tensor(code_matrix)), 0.5)
     pair = T.total(T.sub(T.softplus(omega), T.mul(T.Tensor(similarity), omega)))
     sign_target = T.Tensor(binarize(continuous_codes.values))
     quantization = T.total(T.square(T.sub(continuous_codes, sign_target)))

@@ -2,14 +2,14 @@
 
 A ``Tape`` records operations in execution order.  Leaves are registered
 with ``Tape.watch``; every op whose inputs touch the tape appends one
-node holding, per recorded parent, a function that maps the output
-gradient to that parent's gradient contribution.  Used as a ``with``
-block, a tape releases the leaves it watched when the block ends, so
-later ops treat them as constants again.  ``backward`` walks the
-node list once in reverse from a scalar root, accumulating into a table
-indexed by node position.  Parents always precede children in the list,
-so a single reverse sweep suffices and nodes recorded after the root are
-never visited.
+``(parents, pulls)`` node: per recorded parent, its position and a
+function that maps the output gradient to that parent's contribution.
+Used as a ``with`` block, a tape releases the leaves it watched when
+the block ends, so later ops treat them as constants again.
+``backward`` walks the node list once in reverse from a scalar root,
+accumulating into a table indexed by node position.  Parents always
+precede children in the list, so a single reverse sweep suffices and
+nodes recorded after the root are never visited.
 
 Values are float64 numpy arrays throughout.  Ops require exact shape
 agreement (no silent broadcasting); the one blessed broadcast is
@@ -48,14 +48,6 @@ class Tensor:
         return f"Tensor(shape={self.values.shape}, {state})"
 
 
-class _Node:
-    __slots__ = ("parents", "pulls")
-
-    def __init__(self, parents, pulls):
-        self.parents = parents
-        self.pulls = pulls
-
-
 class Tape:
     """Insertion-ordered record of differentiable operations."""
 
@@ -84,7 +76,7 @@ class Tape:
             return tensor
         tensor.tape = self
         tensor.index = len(self.nodes)
-        self.nodes.append(_Node((), ()))
+        self.nodes.append(((), ()))
         self._watched.append(tensor)
         return tensor
 
@@ -123,8 +115,8 @@ def backward(tape, root):
         grad = table[i]
         if grad is None:
             continue
-        node = tape.nodes[i]
-        for parent, pull in zip(node.parents, node.pulls):
+        parents, pulls = tape.nodes[i]
+        for parent, pull in zip(parents, pulls):
             contribution = pull(grad)
             # no in-place add: a pull may hand the same array to several parents
             if table[parent] is None:
@@ -163,7 +155,7 @@ def _record(out, operands, pull_fns):
             pulls.append(fn)
     out.tape = tape
     out.index = len(tape.nodes)
-    tape.nodes.append(_Node(tuple(parents), tuple(pulls)))
+    tape.nodes.append((tuple(parents), tuple(pulls)))
     return out
 
 

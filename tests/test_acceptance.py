@@ -189,10 +189,10 @@ def _gradient_cases(rng):
     # prototype objective over codes and predicted labels
     code_matrix = _signs(rng, (4, 6))
     proto_sim = (rng.random((3, 6)) < 0.5).astype(float)
-    true_labels = (rng.random((2, 3)) < 0.5).astype(float)
+    true_labels = (rng.random((3, 2)) < 0.5).astype(float)
     cases.append((
         "prototype loss",
-        (_sign_safe(rng, (4, 3)), rng.normal(size=(2, 3))),
+        (_sign_safe(rng, (3, 4)), rng.normal(size=(3, 2))),
         lambda u, p: loss_prototype(u, code_matrix, proto_sim, p, true_labels,
                                     alpha1=1.0, alpha2=1e-2, alpha3=1.0),
     ))

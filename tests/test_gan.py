@@ -17,7 +17,7 @@ from hashattack.gan import (
     AttackStack,
     Discriminator,
     Generator,
-    _BatchLosses,
+    _minimax,
     _pick_targets,
     loss_adversarial,
     loss_discriminator,
@@ -216,9 +216,9 @@ def test_minimax_objective_gradients_match_finite_differences():
     def objective_value(*arrays):
         for p, a in zip(params, arrays):
             p.values = np.array(a, copy=True)
-        losses = _BatchLosses(stack, hash_model, code_matrix, batch, batch_labels,
-                              targets, labels, config, stack.prototype)
-        pair, gen, dis = losses.values()
+        _, terms = _minimax(stack, hash_model, code_matrix, batch, batch_labels,
+                            targets, labels, config, stack.prototype)
+        pair, gen, dis = (float(t.values) for t in terms)
         for p, a in zip(params, base):
             p.values = a.copy()
         return (pair + gen - dis) / 3.0
@@ -226,9 +226,9 @@ def test_minimax_objective_gradients_match_finite_differences():
     with T.Tape() as tape:
         for p in params:
             tape.watch(p)
-        losses = _BatchLosses(stack, hash_model, code_matrix, batch, batch_labels,
+        minimax, _ = _minimax(stack, hash_model, code_matrix, batch, batch_labels,
                               targets, labels, config, stack.prototype)
-        objective = T.scale(losses.minimax(), 1.0 / 3.0)
+        objective = T.scale(minimax, 1.0 / 3.0)
         grads = T.backward(tape, objective)
         analytic = [grads.wrt(p) for p in params]
     numeric = finite_difference(objective_value, base)
@@ -245,9 +245,8 @@ def test_watching_only_the_stepped_network_keeps_its_gradient_exact():
     def gradients(watched, stepped, flip):
         with T.Tape() as tape:
             watch_parameters(tape, *watched)
-            losses = _BatchLosses(stack, hash_model, code_matrix, images[:3], labels[:3],
+            minimax, _ = _minimax(stack, hash_model, code_matrix, images[:3], labels[:3],
                                   targets, labels, config, stack.prototype)
-            minimax = losses.minimax()
             if flip:
                 minimax = T.scale(minimax, -1.0)
             grads = T.backward(tape, T.scale(minimax, 1.0 / 3.0))
@@ -289,9 +288,8 @@ def test_pruned_steps_keep_the_stepped_gradient_exact(monkeypatch, disable_hammi
         calls.clear()
         with T.Tape() as tape:
             watch_parameters(tape, net)
-            losses = _BatchLosses(stack, hash_model, code_matrix, images[:3], labels[:3],
+            minimax, _ = _minimax(stack, hash_model, code_matrix, images[:3], labels[:3],
                                   targets, labels, config, stepped=stepped)
-            minimax = losses.minimax()
             if flip:
                 minimax = T.scale(minimax, -1.0)
             grads = T.backward(tape, T.scale(minimax, 1.0 / 3.0))
@@ -412,20 +410,25 @@ def test_history_rows_are_epoch_means_of_the_prototype_step_losses(monkeypatch):
     watch = gan.watch_parameters
     monkeypatch.setattr(gan, "watch_parameters",
                         lambda tape, net: watched.append(net) or watch(tape, net))
-    values = _BatchLosses.values
+    minimax = gan._minimax
 
-    def spy(self):
-        returned.append((watched[-1], values(self)))
-        return returned[-1][1]
+    def spy(*args, **kwargs):
+        objective, terms = minimax(*args, **kwargs)
+        returned.append((watched[-1], terms))
+        return objective, terms
 
-    monkeypatch.setattr(_BatchLosses, "values", spy)
+    monkeypatch.setattr(gan, "_minimax", spy)
     stack, history = train_attack_gan(images, labels, hash_model, config, 5)
     batches = -(-images.shape[0] // config.attack_batch_size)
-    assert len(returned) == config.attack_epochs * batches
-    assert len(watched) == 3 * len(returned)
-    assert all(net is stack.prototype for net, _ in returned)
+    assert len(returned) == 3 * config.attack_epochs * batches
+    assert len(watched) == len(returned)
+    # the pair term, and so a history row, comes only from the prototype step
+    full = [(net, terms) for net, terms in returned if terms[0] is not None]
+    assert len(full) == config.attack_epochs * batches
+    assert all(net is stack.prototype for net, _ in full)
     for epoch, row in enumerate(history):
-        losses = [values for _, values in returned[epoch * batches:(epoch + 1) * batches]]
+        losses = [[float(t.values) for t in terms]
+                  for _, terms in full[epoch * batches:(epoch + 1) * batches]]
         assert row == (epoch, *(float(v) for v in np.mean(np.asarray(losses), axis=0)))
 
 

@@ -110,11 +110,11 @@ def test_head_validation(rng):
 
 
 def test_loss_pair_term_at_zero_inner_product_is_log_two():
-    h = T.Tensor([[0.6], [0.6]])
+    h = T.Tensor([[0.6, 0.6]])
     code_matrix = np.array([[1.0], [-1.0]])
     for s in (0.0, 1.0):
-        loss = loss_prototype(h, code_matrix, [[s]], T.Tensor(np.zeros((2, 1))),
-                              np.zeros((2, 1)), alpha1=1.0, alpha2=0.0, alpha3=0.0)
+        loss = loss_prototype(h, code_matrix, [[s]], T.Tensor(np.zeros((1, 2))),
+                              np.zeros((1, 2)), alpha1=1.0, alpha2=0.0, alpha3=0.0)
         assert float(loss.values) == pytest.approx(np.log(2.0), abs=1e-12)
 
 
@@ -127,7 +127,7 @@ def test_loss_quantization_example():
 
 def test_loss_classification_zero_when_exact():
     h = T.Tensor([[0.5]])
-    pred = T.Tensor([[0.3], [0.7]])
+    pred = T.Tensor([[0.3, 0.7]])
     loss = loss_prototype(h, [[1.0]], [[1.0]], pred, pred.values.copy(),
                           alpha1=0.0, alpha2=0.0, alpha3=1.0)
     assert float(loss.values) == 0.0
@@ -150,27 +150,49 @@ def test_pair_addend_monotonicity():
 
 
 def test_loss_shape_guards():
-    h = T.Tensor(np.zeros((4, 2)))
-    pred = T.Tensor(np.zeros((3, 2)))
+    # two prototypes, four code bits, five items, three classes, as rows
+    h = T.Tensor(np.zeros((2, 4)))
+    pred = T.Tensor(np.zeros((2, 3)))
     good_b = np.ones((4, 5))
     good_s = np.zeros((2, 5))
-    good_y = np.zeros((3, 2))
+    good_y = np.zeros((2, 3))
     alphas = (1.0, 1e-4, 1.0)
+    assert loss_prototype(h, good_b, good_s, pred, good_y, *alphas).shape == ()
     with pytest.raises(DimensionError):
         loss_prototype(h, np.ones((3, 5)), good_s, pred, good_y, *alphas)
     with pytest.raises(DimensionError):
         loss_prototype(h, good_b, np.zeros((2, 4)), pred, good_y, *alphas)
     with pytest.raises(DimensionError):
-        loss_prototype(h, good_b, good_s, pred, np.zeros((3, 3)), *alphas)
+        loss_prototype(h, good_b, good_s, pred, np.zeros((2, 2)), *alphas)
+    # codes laid out as (K, M) columns are refused
+    with pytest.raises(DimensionError):
+        loss_prototype(T.Tensor(np.zeros((4, 2))), good_b, good_s, pred, good_y, *alphas)
+
+
+def test_loss_matches_a_direct_evaluation_on_row_blocks(rng):
+    prototypes, code_length, items, classes = 4, 3, 6, 2
+    h = rng.uniform(-0.9, 0.9, size=(prototypes, code_length))
+    code_matrix = np.where(rng.random((code_length, items)) < 0.5, 1.0, -1.0)
+    similarity = (rng.random((prototypes, items)) < 0.5).astype(float)
+    predicted = rng.uniform(0.05, 0.95, size=(prototypes, classes))
+    true_labels = (rng.random((prototypes, classes)) < 0.5).astype(float)
+    alpha1, alpha2, alpha3 = 1.5, 0.25, 2.0
+    loss = loss_prototype(T.Tensor(h), code_matrix, similarity, T.Tensor(predicted),
+                          true_labels, alpha1=alpha1, alpha2=alpha2, alpha3=alpha3)
+    omega = 0.5 * h @ code_matrix
+    want = (alpha1 * np.sum(np.log1p(np.exp(omega)) - similarity * omega)
+            + alpha2 * np.sum((h - np.sign(h)) ** 2)
+            + alpha3 * np.sum((predicted - true_labels) ** 2))
+    assert float(loss.values) == pytest.approx(want, rel=1e-12)
 
 
 def test_loss_gradients_match_finite_differences(rng):
     code_length, prototypes, items, classes = 3, 4, 6, 3
     code_matrix = np.where(rng.random((code_length, items)) < 0.5, 1.0, -1.0)
     similarity = (rng.random((prototypes, items)) < 0.5).astype(float)
-    true_labels = (rng.random((classes, prototypes)) < 0.5).astype(float)
-    h0 = rng.uniform(-0.9, 0.9, size=(code_length, prototypes))
-    p0 = rng.uniform(0.05, 0.95, size=(classes, prototypes))
+    true_labels = (rng.random((prototypes, classes)) < 0.5).astype(float)
+    h0 = rng.uniform(-0.9, 0.9, size=(prototypes, code_length))
+    p0 = rng.uniform(0.05, 0.95, size=(prototypes, classes))
 
     def loss_fn(h, p):
         return float(loss_prototype(T.Tensor(h), code_matrix, similarity,

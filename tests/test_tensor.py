@@ -98,6 +98,11 @@ def test_mixed_tapes_rejected():
     b = T.Tape().watch(T.Tensor([2.0]))
     with pytest.raises(ContractError):
         T.add(a, b)
+    # a constant between the attached operands does not hide the mix
+    with pytest.raises(ContractError):
+        T.concat([a, T.Tensor([0.0]), b])
+    # a refused op records nothing on either tape
+    assert len(a.tape.nodes) == 1 and len(b.tape.nodes) == 1
 
 
 def test_backward_needs_scalar_root_on_tape():
