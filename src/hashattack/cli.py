@@ -39,8 +39,7 @@ def build_parser():
         description="Targeted adversarial attacks on a toy hashing retrieval "
                     "system: data generation, training, attacks, and scoring.",
     )
-    commands = parser.add_subparsers(dest="command", required=True,
-                                     metavar="command")
+    commands = parser.add_subparsers(required=True, metavar="command")
 
     def add_command(name, help_text):
         command = commands.add_parser(name, help=help_text)
@@ -51,6 +50,7 @@ def build_parser():
                              help="run seed; equal seeds reproduce results")
         command.add_argument("--out", metavar="DIR", required=True,
                              help="shared output directory for all stages")
+        command.set_defaults(stage=name.replace("-", "_"))
         return command
 
     add_command("gen-data", "generate the synthetic image splits")
@@ -60,8 +60,8 @@ def build_parser():
                                 "discriminator stack")
     add_command("attack", "run the trained generator over the query split")
     baseline = add_command("baseline", "run one comparison attack")
-    baseline.add_argument("method", choices=("p2p", "dhta", "noise"),
-                          help="which comparison attack to run")
+    baseline.add_argument("stage", metavar="method", choices=("p2p", "dhta", "noise"),
+                          help="which comparison attack to run: p2p, dhta or noise")
     add_command("eval", "score every generated query set and write the report")
     add_command("transfer-eval", "score the generator against an "
                                  "independently trained model")
@@ -79,15 +79,10 @@ def main(argv=None):
     except InputError as err:
         print(f"hashattack: error: {err}", file=sys.stderr)
         return 1
-    # each command names its stage, and ``baseline`` names it as the method
-    if args.command == "baseline":
-        stage = args.method
-    else:
-        stage = args.command.replace("-", "_")
     try:
-        result = experiment.execute_stage(stage, config, args.seed, args.out)
+        result = experiment.execute_stage(args.stage, config, args.seed, args.out)
     except Exception as err:
-        print(f"hashattack: {stage} failed: {err}", file=sys.stderr)
+        print(f"hashattack: {args.stage} failed: {err}", file=sys.stderr)
         return 2
     print(json.dumps(result, indent=2, sort_keys=True))
     return 0

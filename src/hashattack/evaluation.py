@@ -30,10 +30,10 @@ class EvalReport:
 
 def rank_database(query_codes, code_matrix):
     """(queries, N) database order: ascending Hamming distance, ties by index."""
-    query_codes = np.asarray(query_codes, dtype=np.float64)
-    if query_codes.ndim != 2 or query_codes.shape[0] == 0:
+    distances = hamming_distances(query_codes, code_matrix)
+    if distances.shape[0] == 0:
         raise InputError("need a non-empty (queries, K) code array")
-    return np.argsort(hamming_distances(query_codes, code_matrix), axis=1, kind="stable")
+    return np.argsort(distances, axis=1, kind="stable")
 
 
 def average_precision(relevance):

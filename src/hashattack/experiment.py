@@ -339,20 +339,17 @@ STAGE_ORDER = tuple(_STAGE_TABLE)
 
 
 def execute_stage(name, config, seed, out):
-    """Run one named stage; a failure leaves a ``<stage>.partial`` marker."""
+    """Run one named stage and add its wall time to ``timings.json``.
+
+    A failing stage raises its exception to the caller and records no time.
+    """
     if name not in _STAGE_TABLE:
         raise InputError(f"unknown stage {name!r}")
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    marker = out / f"{name}.partial"
     started = time.perf_counter()
-    try:
-        result = _STAGE_TABLE[name](config, seed, out)
-        update_timings(out, **{f"{name}_seconds": time.perf_counter() - started})
-    except BaseException as err:
-        marker.write_text(f"{type(err).__name__}: {err}\n")
-        raise
-    marker.unlink(missing_ok=True)
+    result = _STAGE_TABLE[name](config, seed, out)
+    update_timings(out, **{f"{name}_seconds": time.perf_counter() - started})
     return result
 
 

@@ -71,9 +71,9 @@ class Generator(Module):
     def forward(self, images, representations):
         """Traced perturbed batch; both inputs are (batch, ...) rows."""
         conditioning = self.label_decoder.forward(representations)
-        mixed = T.concat([images, conditioning], axis=1)
+        mixed = T.concat([images, conditioning])
         core_out = self.core.forward(mixed)
-        head_in = T.concat([core_out, images], axis=1)
+        head_in = T.concat([core_out, images])
         return self.output_head.forward(head_in)
 
     def parts(self):

@@ -22,23 +22,23 @@ def binarize(values):
 
 
 def hamming_distances(query, code_matrix):
-    """Disagreement counts from one +/-1 code, or each row of a (Q, K) block, to each column of (K, N).
+    """(Q, N) disagreement counts from each row of a (Q, K) +/-1 block to each column of (K, N).
 
     +/-1 inner products are exact in float64, so the counts are exact; they come in the smallest
     unsigned dtype holding K (uint8 up to 255 bits), and a stable argsort of them is a radix sort.
     """
     query = np.asarray(query, dtype=np.float64)
     code_matrix = np.asarray(code_matrix, dtype=np.float64)
-    if query.ndim not in (1, 2) or code_matrix.ndim != 2 or query.shape[-1] != code_matrix.shape[0]:
+    if query.ndim != 2 or code_matrix.ndim != 2 or query.shape[1] != code_matrix.shape[0]:
         raise DimensionError(
-            f"need a code or (Q, K) block and a (K, N) matrix, got {query.shape} and {code_matrix.shape}"
+            f"need a (Q, K) block and a (K, N) matrix, got {query.shape} and {code_matrix.shape}"
         )
     if not (np.all(np.abs(query) == 1.0) and np.all(np.abs(code_matrix) == 1.0)):
         raise InputError("codes must hold only -1 and +1")
     counts = query @ code_matrix
-    np.subtract(query.shape[-1], counts, out=counts)
+    np.subtract(query.shape[1], counts, out=counts)
     counts *= 0.5
-    return counts.astype(np.min_scalar_type(query.shape[-1]))
+    return counts.astype(np.min_scalar_type(query.shape[1]))
 
 
 class HashModel(Module):

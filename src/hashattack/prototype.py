@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import InputError
+from .errors import DimensionError, InputError
 from .hashing import binarize
 from .layers import MLP, DenseLayer, Module
 
@@ -101,6 +101,9 @@ def loss_prototype(continuous_codes, code_matrix, similarity, predicted_labels,
       sign, the sign held constant in the gradient,
     - classification: squared gap between predicted and true labels.
     """
+    if predicted_labels.values.shape[:1] != continuous_codes.values.shape[:1]:
+        raise DimensionError(f"need one label row per code, got {predicted_labels.values.shape} "
+                             f"labels for {continuous_codes.values.shape} codes")
     omega = T.scale(T.matmul(continuous_codes, T.Tensor(code_matrix)), 0.5)
     pair = T.total(T.sub(T.softplus(omega), T.mul(T.Tensor(similarity), omega)))
     sign_target = T.Tensor(binarize(continuous_codes.values))

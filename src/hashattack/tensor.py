@@ -289,25 +289,17 @@ def total(t):
     return _record(out, (t,), (lambda g: np.full(shape, float(g)),))
 
 
-def concat(tensors, axis=0):
+def concat(tensors):
+    """Join 2-D row blocks side by side: (rows, a) and (rows, b) make (rows, a + b)."""
     tensors = [_as_tensor(t) for t in tensors]
-    try:
-        out = Tensor(np.concatenate([t.values for t in tensors], axis=axis))
-    except ValueError as err:
-        raise DimensionError(f"cannot concat along axis {axis}: {err}") from err
-    ndim = out.values.ndim
-    offsets = []
+    shapes = [t.values.shape for t in tensors]
+    if not shapes or any(len(shape) != 2 or shape[0] != shapes[0][0] for shape in shapes):
+        raise DimensionError(f"concat joins 2-D blocks with equal row counts, got {shapes}")
+    out = Tensor(np.concatenate([t.values for t in tensors], axis=1))
+    pulls = []
     start = 0
     for t in tensors:
-        width = t.values.shape[axis]
-        offsets.append((start, start + width))
-        start += width
-
-    def make_pull(lo, hi):
-        def pull(g):
-            index = [slice(None)] * ndim
-            index[axis] = slice(lo, hi)
-            return g[tuple(index)]
-        return pull
-
-    return _record(out, tuple(tensors), tuple(make_pull(lo, hi) for lo, hi in offsets))
+        stop = start + t.values.shape[1]
+        pulls.append(lambda g, lo=start, hi=stop: g[:, lo:hi])
+        start = stop
+    return _record(out, tuple(tensors), tuple(pulls))

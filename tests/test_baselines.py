@@ -52,7 +52,7 @@ def test_anchor_code_rejects_empty():
 
 
 def _total_distance(code, rows):
-    return int(hamming_distances(code, rows.T).sum())
+    return int(hamming_distances(code[None], rows.T).sum())
 
 
 def test_anchor_code_minimizes_total_hamming_distance(rng):

@@ -5,11 +5,11 @@ import re
 
 import pytest
 
+from hashattack import experiment
 from hashattack.checkpoint import load_hash_model, save_hash_model
 from hashattack.cli import build_parser, main
 from hashattack.config import ExperimentConfig
 from hashattack.errors import CheckpointMissingError
-from hashattack.experiment import _load_examples
 from tests.conftest import TINY_RUN_KWARGS
 
 
@@ -97,14 +97,31 @@ def test_transfer_eval_before_attack_names_the_attack_command(tmp_path, capsys):
     assert not (tmp_path / "run" / "transfer_model.json").exists()
 
 
-@pytest.mark.parametrize("slug", ["prosgan", "p2p", "dhta", "noise"])
+# each upstream file: its loader in an empty directory, and the stage that writes it
+_UPSTREAM = {
+    "dataset": ("dataset.npz", experiment._load_data, "gen_data"),
+    "hash_model": ("hash_model.json",
+                   lambda out: experiment._load_hash(ExperimentConfig(), 1, out), "train_hash"),
+    "codes": ("codes.npz", experiment._load_codes, "encode_db"),
+    "attack_stack": ("attack_stack.json",
+                     lambda out: experiment._load_stack(ExperimentConfig(), 1, out),
+                     "train_attack"),
+    **{slug: (f"adversarial_{slug}.npz",
+              lambda out, slug=slug: experiment._load_examples(out, slug, None, None),
+              "attack" if slug == "prosgan" else slug)
+       for slug in ("prosgan", "p2p", "dhta", "noise")},
+}
+
+
+@pytest.mark.parametrize("slug", list(_UPSTREAM))
 def test_a_missing_attack_output_names_the_command_that_writes_it(tmp_path, slug):
-    with pytest.raises(CheckpointMissingError, match=f"adversarial_{slug}.npz") as caught:
-        _load_examples(tmp_path, slug, None, None)
-    hint = re.fullmatch(r"missing \S+; run (.+) first", str(caught.value)).group(1)
+    name, load, stage = _UPSTREAM[slug]
+    with pytest.raises(CheckpointMissingError) as caught:
+        load(tmp_path)
+    missing, hint = re.fullmatch(r"missing (\S+); run (.+) first", str(caught.value)).groups()
+    assert missing == name
     args = build_parser().parse_args([*hint.split(), "--seed", "1", "--out", str(tmp_path)])
-    assert (args.method if args.command == "baseline" else args.command) == (
-        "attack" if slug == "prosgan" else slug)
+    assert args.stage == stage
 
 
 def test_gen_data_success_prints_summary(tmp_path, capsys):

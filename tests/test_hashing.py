@@ -27,7 +27,7 @@ def test_binarize_examples():
 
 def _distance(a, b):
     """The Hamming distance between two codes, through the batched function."""
-    return int(hamming_distances(a, b[:, None])[0])
+    return int(hamming_distances(a[None], b[:, None])[0, 0])
 
 
 def test_hamming_examples():
@@ -59,6 +59,9 @@ def test_hamming_guards():
         hamming_distances(np.ones((2, 2, 3)), np.ones((3, 4)))
     with pytest.raises(DimensionError):
         hamming_distances(np.ones(3), np.ones((4, 5)))
+    # a single code is a (1, K) block, never a 1-D row
+    with pytest.raises(DimensionError):
+        hamming_distances(np.ones(3), np.ones((3, 4)))
 
 
 @pytest.mark.parametrize("side", ["query", "database"])
@@ -86,9 +89,10 @@ def test_hamming_counts_come_in_the_smallest_unsigned_dtype(code_length, dtype):
 def test_hamming_distances_matches_per_column(rng):
     q = binarize(rng.normal(size=6))
     matrix = binarize(rng.normal(size=(6, 9)))
-    batch = hamming_distances(q, matrix)
+    batch = hamming_distances(q[None], matrix)
+    assert batch.shape == (1, 9)
     for j in range(9):
-        assert batch[j] == np.sum(q != matrix[:, j])
+        assert batch[0, j] == np.sum(q != matrix[:, j])
     block = binarize(rng.normal(size=(4, 6)))
     distances = hamming_distances(block, matrix)
     assert distances.shape == (4, 9)

@@ -169,6 +169,15 @@ def test_loss_shape_guards():
         loss_prototype(T.Tensor(np.zeros((4, 2))), good_b, good_s, pred, good_y, *alphas)
 
 
+def test_loss_refuses_label_blocks_without_one_row_per_code():
+    # the two label blocks agree with each other, but hold seven rows for two codes
+    h = T.Tensor(np.zeros((2, 4)))
+    pred = T.Tensor(np.full((7, 3), 0.5))
+    with pytest.raises(DimensionError, match="one label row per code"):
+        loss_prototype(h, np.ones((4, 5)), np.zeros((2, 5)), pred, np.ones((7, 3)),
+                       1.0, 1e-4, 1.0)
+
+
 def test_loss_matches_a_direct_evaluation_on_row_blocks(rng):
     prototypes, code_length, items, classes = 4, 3, 6, 2
     h = rng.uniform(-0.9, 0.9, size=(prototypes, code_length))
