@@ -236,9 +236,11 @@ def _method_row(report, true_report=None, perceptibility=None):
 def stage_eval(config, seed, out):
     """Score every available query block and write the run report.
 
-    Each block is ranked once.  The original and attacked blocks are judged
-    against the targets and the true labels; the Original row's true-label
-    report is the retrieval baseline.
+    Each block's distinct codes are ranked once, and each distinct (code,
+    label) pair is scored once, with reports identical to scoring every
+    row.  The original and attacked blocks are judged against the targets
+    and the true labels; the Original row's true-label report is the
+    retrieval baseline.
     """
     out = Path(out)
     bundle = _load_data(out)

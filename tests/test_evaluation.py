@@ -218,6 +218,9 @@ def test_metric_input_guards():
         _report(codes, np.vstack([labels, labels]), matrix, db_labels)
     with pytest.raises(InputError):
         evaluate_queries(codes, matrix, db_labels)  # no label set to judge by
+    for block in (codes[0, 0], codes[0]):
+        with pytest.raises(DimensionError):
+            _report(block, labels, matrix, db_labels)
 
 
 @pytest.mark.parametrize("side", ["query", "database"])
@@ -255,13 +258,15 @@ def _oracle_report(codes, labels, matrix, db_labels):
     depth = matrix.shape[1]
     ranks = np.arange(1, depth + 1)
     kept = [rel for rel in ranked if rel.sum() > 0.0]
-    precision = np.mean([np.cumsum(rel) / ranks for rel in kept], axis=0)
-    recall = np.mean([np.cumsum(rel) / rel.sum() for rel in kept], axis=0)
+    curve = []
+    if kept:  # no PR curve when no query has anything relevant
+        precision = np.mean([np.cumsum(rel) / ranks for rel in kept], axis=0)
+        recall = np.mean([np.cumsum(rel) / rel.sum() for rel in kept], axis=0)
+        curve = [(int(k), float(p), float(r)) for k, p, r in zip(ranks, precision, recall)]
     hits = np.cumsum(ranked, axis=1)
     return {
         "mean_ap": float(np.mean([average_precision(rel) for rel in ranked])),
-        "pr_curve": [(int(k), float(p), float(r))
-                     for k, p, r in zip(ranks, precision, recall)],
+        "pr_curve": curve,
         "precision_at_n": [(n, float(np.mean(hits[:, n - 1] / n)))
                            for n in topn_grid(depth)],
         "queries_without_relevant": len(ranked) - len(kept),
@@ -281,22 +286,91 @@ def test_evaluate_queries_equals_per_query_oracle(rng):
         assert reports[0].queries_without_relevant >= 1
 
 
+def _spy_on_rankings(monkeypatch):
+    """The query blocks ``evaluate_queries`` asks ``rank_database`` to rank."""
+    calls = []
+
+    def spy(query_codes, code_matrix):
+        calls.append(np.array(query_codes))
+        return rank_database(query_codes, code_matrix)
+
+    monkeypatch.setattr(evaluation, "rank_database", spy)
+    return calls
+
+
 @pytest.mark.parametrize("set_count", [1, 2, 3])
 def test_evaluate_queries_ranks_once(rng, monkeypatch, set_count):
+    # one ranking of the block's distinct rows serves every label set
     codes, labels, matrix, db_labels = _random_setup(rng)
     label_sets = [labels] + [np.eye(3)[rng.integers(0, 3, len(codes))]
                              for _ in range(set_count - 1)]
     alone = [_report(codes, label_set, matrix, db_labels) for label_set in label_sets]
-    calls = []
-
-    def spy(query_codes, code_matrix):
-        calls.append(np.shape(query_codes))
-        return rank_database(query_codes, code_matrix)
-
-    monkeypatch.setattr(evaluation, "rank_database", spy)
+    calls = _spy_on_rankings(monkeypatch)
     reports = evaluate_queries(codes, matrix, db_labels, *label_sets)
-    assert calls == [codes.shape]
+    distinct = np.unique(codes, axis=0)
+    assert len(calls) == 1 and calls[0].shape == distinct.shape
+    assert np.array_equal(np.unique(calls[0], axis=0), distinct)
     assert reports == alone
+
+
+def test_a_block_of_three_codes_is_ranked_as_three_rows(rng, monkeypatch):
+    codes, labels, matrix, db_labels = _random_setup(rng)
+    codes = codes[:3][np.arange(12) % 3]
+    assert len(np.unique(codes, axis=0)) == 3
+    calls = _spy_on_rankings(monkeypatch)
+    evaluate_queries(codes, matrix, db_labels, labels)
+    assert [call.shape for call in calls] == [(3, codes.shape[1])]
+
+
+_ALL_CODES = 2.0 * ((np.arange(64)[:, None] >> np.arange(6)) & 1) - 1.0  # every 6-bit code
+
+
+def _repeated_setup(rng, block, items, queries=12, classes=3):
+    """A query block whose rows repeat their codes as a trained hash's do.
+
+    Class ``classes - 1`` labels no database item, so a row judged by it
+    has nothing relevant.
+    """
+    matrix = np.where(rng.random((6, items)) < 0.5, -1.0, 1.0)
+    db_labels = np.eye(classes)[rng.integers(0, classes - 1, items)]
+    labels = np.eye(classes)[rng.integers(0, classes - 1, queries)]
+    if block == "distinct":
+        rows = rng.choice(len(_ALL_CODES), queries, replace=False)
+    elif block == "single":
+        rows, labels = rng.integers(0, len(_ALL_CODES), 1), labels[:1]
+    else:
+        count = {"one": 1, "two": 2, "three": 3, "shared": 1, "hopeless": 2}[block]
+        rows = rng.choice(len(_ALL_CODES), count, replace=False)[
+            np.arange(queries) % count]
+    if block == "shared":
+        labels = np.eye(classes)[np.arange(queries) % classes]
+    if block == "hopeless":
+        labels[0] = np.eye(classes)[classes - 1]  # row 2 has the same code
+    return _ALL_CODES[rows], labels, matrix, db_labels
+
+
+@pytest.mark.parametrize("items", [40, 300])
+@pytest.mark.parametrize("block", ["one", "two", "three", "shared", "distinct",
+                                   "single", "hopeless"])
+def test_repeated_codes_score_as_every_row_would(rng, block, items):
+    codes, labels, matrix, db_labels = _repeated_setup(rng, block, items)
+    other_labels = np.eye(3)[rng.integers(0, 3, len(codes))]
+    reports = evaluate_queries(codes, matrix, db_labels, labels, other_labels)
+    for report, label_set in zip(reports, (labels, other_labels)):
+        want = _oracle_report(codes, label_set, matrix, db_labels)
+        for name, value in want.items():
+            assert getattr(report, name) == value, name
+    if block in ("shared", "hopeless"):
+        assert reports[0].queries_without_relevant >= 1
+
+
+def test_repeated_codes_keep_the_input_guards(rng):
+    codes, labels, matrix, db_labels = _repeated_setup(rng, "two", 40)
+    with pytest.raises(DimensionError):
+        evaluate_queries(codes, matrix, db_labels, labels, labels[:-1])
+    codes[1, 0] = 0.5  # a row equal to row 3 but for this entry
+    with pytest.raises(InputError):
+        _report(codes, labels, matrix, db_labels)
 
 
 @pytest.mark.parametrize("items", [3, 5])
