@@ -60,7 +60,7 @@ def build_parser():
                                 "discriminator stack")
     add_command("attack", "run the trained generator over the query split")
     baseline = add_command("baseline", "run one comparison attack")
-    baseline.add_argument("stage", metavar="method", choices=("p2p", "dhta", "noise"),
+    baseline.add_argument("stage", metavar="method", choices=experiment.BASELINES,
                           help="which comparison attack to run: p2p, dhta or noise")
     add_command("eval", "score every generated query set and write the report")
     add_command("transfer-eval", "score the generator against an "

@@ -142,4 +142,7 @@ def load_bundle(path):
     spec, *arrays = load_npz(path, BUNDLE_KEYS)
     if spec.shape != (3,) or spec.dtype.kind not in "iu":
         raise CheckpointCorruptError(f"{Path(path).name}: bad image spec {spec!r}")
-    return DatasetBundle(tuple(int(v) for v in spec), *arrays)
+    bundle = DatasetBundle(tuple(int(v) for v in spec), *arrays)
+    if bundle.query_images.shape[:1] == (0,):
+        raise CheckpointCorruptError(f"{Path(path).name}: query_images holds no rows")
+    return bundle

@@ -38,19 +38,6 @@ def rank_database(query_codes, code_matrix):
     return np.argsort(distances, axis=1, kind="stable")
 
 
-def average_precision(relevance):
-    """AP over an ordered 0/1 relevance list; 0 when nothing is relevant."""
-    relevance = np.asarray(relevance, dtype=np.float64)
-    if relevance.ndim != 1 or relevance.size == 0:
-        raise DimensionError(f"relevance must be a non-empty vector, got {relevance.shape}")
-    total = relevance.sum()
-    if total == 0.0:
-        return 0.0
-    hits = np.cumsum(relevance)
-    ranks = np.arange(1, relevance.size + 1)
-    return float(np.sum((hits / ranks) * relevance) / total)
-
-
 def _ranked_relevance(order, code_of_row, query_labels, db_labels):
     """Ranked relevance of each distinct (code, label row) pair, and each query's pair.
 

@@ -16,12 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import anchor_attack, anchor_codes, noise_queries, p2p_attack
-from .checkpoint import (
-    load_attack_stack,
-    load_hash_model,
-    save_attack_stack,
-    save_hash_model,
-)
+from .checkpoint import load_attack_stack, load_hash_model, save_attack_stack, save_hash_model
 from .data import gen_synthetic_dataset, load_bundle, load_npz, save_bundle, unique_labels
 from .errors import (CheckpointCorruptError, CheckpointMismatchError,
                      CheckpointMissingError, InputError)
@@ -49,13 +44,6 @@ def stage_rng(seed, stream):
     sequence = np.random.SeedSequence(entropy=seed,
                                       spawn_key=(STAGE_STREAMS[stream],))
     return np.random.default_rng(sequence)
-
-
-def _require(path, hint):
-    path = Path(path)
-    if not path.is_file():
-        raise CheckpointMissingError(f"missing {path.name}; run {hint} first")
-    return path
 
 
 def _write_json(path, payload):
@@ -88,47 +76,72 @@ def update_timings(out, **entries):
     _write_json(target, current)
 
 
-def _load_data(out):
-    return load_bundle(_require(Path(out) / "dataset.npz", "gen-data"))
+# the stages that run as `baseline <stage>`, and each attack stage's method slug
+BASELINES = ("p2p", "dhta", "noise")
+_ATTACKS = {"attack": "prosgan", **{stage: stage for stage in BASELINES}}
 
 
-def _load_checkpoint(load, path, config, seed):
+def command(stage):
+    """The CLI command that runs ``stage``: ``train-hash``, ``baseline p2p``, ..."""
+    return f"baseline {stage}" if stage in BASELINES else stage.replace("_", "-")
+
+
+def _run_module(load, path, config, seed):
     """A stage's upstream module, refused unless this run's config and seed made it."""
     module, checkpoint = load(path, config.config_hash())
     # type, not equality: True == 1 and 1.0 == 1 would pass another file
     if type(checkpoint.seed) is not int or checkpoint.seed != seed:
         raise CheckpointMismatchError(
-            f"{Path(path).name} was written under seed {checkpoint.seed}, not {seed}"
-        )
+            f"{path.name} was written under seed {checkpoint.seed}, not {seed}")
     return module
 
 
-def _load_hash(config, seed, out):
-    path = _require(Path(out) / "hash_model.json", "train-hash")
-    return _load_checkpoint(load_hash_model, path, config, seed)
+def _code_matrix(path):
+    (matrix,) = load_npz(path, ("code_matrix",))
+    if matrix.ndim != 2 or matrix.dtype.kind not in "iuf" or np.any(np.abs(matrix) != 1):
+        raise CheckpointCorruptError(f"{path.name}: code_matrix is not a 2-D array of +/-1")
+    return matrix
 
 
-def _load_stack(config, seed, out):
-    path = _require(Path(out) / "attack_stack.json", "train-attack")
-    return _load_checkpoint(load_attack_stack, path, config, seed)
+# each file a stage reads: the stage that writes it, and its loader over (path,
+# config, seed); a loader finds functions by name when called, so rebinding reaches it
+ARTIFACTS = {
+    "dataset.npz": ("gen_data", lambda path, *run: load_bundle(path)),
+    "hash_model.json": ("train_hash", lambda *args: _run_module(load_hash_model, *args)),
+    "codes.npz": ("encode_db", lambda path, *run: _code_matrix(path)),
+    "attack_stack.json": ("train_attack", lambda *args: _run_module(load_attack_stack, *args)),
+    **{f"adversarial_{slug}.npz":
+       (stage, lambda path, *run: load_npz(path, ("originals", "perturbed", "target_labels")))
+       for stage, slug in _ATTACKS.items()},
+}
 
 
-def _load_codes(out):
-    path = _require(Path(out) / "codes.npz", "encode-db")
-    return load_npz(path, ("code_matrix",))[0]
+def read(name, config, seed, out):
+    """Table file ``name`` in ``out``; a missing one names the command that writes it."""
+    stage, load = ARTIFACTS[name]
+    path = Path(out) / name
+    if not path.is_file():
+        raise CheckpointMissingError(f"missing {name}; run {command(stage)} first")
+    return load(path, config, seed)
 
 
-def _load_examples(out, slug, queries, targets):
+def _hash_and_codes(bundle, config, seed, out):
+    """The hash model and its (code length, database items) code matrix."""
+    model = read("hash_model.json", config, seed, out)
+    matrix = read("codes.npz", config, seed, out)
+    expected = (model.code_length, len(bundle.database_images))
+    if matrix.shape != expected:
+        raise CheckpointMismatchError(f"codes.npz is {matrix.shape}, not (bits, items) {expected}")
+    return model, matrix
+
+
+def _load_examples(name, bundle, targets, config, seed, out):
     """A method's perturbed block, refused unless it attacks this run's queries and targets."""
-    hint = "attack" if slug == "prosgan" else f"baseline {slug}"
-    path = _require(Path(out) / f"adversarial_{slug}.npz", hint)
-    originals, perturbed, stored_targets = load_npz(
-        path, ("originals", "perturbed", "target_labels"))
-    if not (np.array_equal(originals, queries) and np.array_equal(stored_targets, targets)
-            and perturbed.shape == queries.shape):
+    originals, perturbed, stored_targets = read(name, config, seed, out)
+    if not (np.array_equal(originals, bundle.query_images)
+            and np.array_equal(stored_targets, targets) and perturbed.shape == originals.shape):
         raise CheckpointMismatchError(
-            f"{path.name} does not attack this run's queries toward its targets"
-        )
+            f"{name} does not attack this run's queries toward its targets")
     return perturbed
 
 
@@ -151,7 +164,7 @@ def stage_gen_data(config, seed, out):
 
 
 def stage_train_hash(config, seed, out):
-    bundle = _load_data(out)
+    bundle = read("dataset.npz", config, seed, out)
     model, losses = train_target_model(bundle.train_images, bundle.train_labels,
                                        config.code_length, config.hash_hidden_widths,
                                        config, stage_rng(seed, "hash"))
@@ -163,16 +176,16 @@ def stage_train_hash(config, seed, out):
 
 
 def stage_encode_db(config, seed, out):
-    bundle = _load_data(out)
-    model = _load_hash(config, seed, out)
+    bundle = read("dataset.npz", config, seed, out)
+    model = read("hash_model.json", config, seed, out)
     matrix = encode_database(model, bundle.database_images)
     np.savez(Path(out) / "codes.npz", code_matrix=matrix)
     return {"items": int(matrix.shape[1]), "code_length": int(matrix.shape[0])}
 
 
 def stage_train_attack(config, seed, out):
-    bundle = _load_data(out)
-    model = _load_hash(config, seed, out)
+    bundle = read("dataset.npz", config, seed, out)
+    model = read("hash_model.json", config, seed, out)
     stack, history = train_attack_gan(bundle.train_images, bundle.train_labels, model,
                                       config, stage_rng(seed, "attack"))
     save_attack_stack(Path(out) / "attack_stack.json", stack, seed, config.config_hash(),
@@ -193,18 +206,17 @@ def stage_attack(config, seed, out, method):
     so takes the call time over the image count.  The throughput is the
     image count over the call time.
     """
-    bundle = _load_data(out)
+    bundle = read("dataset.npz", config, seed, out)
     queries = bundle.query_images
     targets = eval_target_labels(seed, bundle)
     if method == "prosgan":
-        stack = _load_stack(config, seed, out)
+        stack = read("attack_stack.json", config, seed, out)
         generate = functools.partial(targeted_examples, stack, queries, targets)
     elif method == "noise":
         generate = functools.partial(noise_queries, queries, config.epsilon,
                                      stage_rng(seed, "noise"))
     else:  # p2p or dhta, the only other methods in _STAGE_TABLE
-        model = _load_hash(config, seed, out)
-        matrix = _load_codes(out)
+        model, matrix = _hash_and_codes(bundle, config, seed, out)
         attack = p2p_attack if method == "p2p" else anchor_attack
         generate = functools.partial(attack, model, queries, targets,
                                      bundle.database_labels, matrix, config,
@@ -243,9 +255,8 @@ def stage_eval(config, seed, out):
     retrieval baseline.
     """
     out = Path(out)
-    bundle = _load_data(out)
-    model = _load_hash(config, seed, out)
-    matrix = _load_codes(out)
+    bundle = read("dataset.npz", config, seed, out)
+    model, matrix = _hash_and_codes(bundle, config, seed, out)
     db_labels = bundle.database_labels
     labels = bundle.query_labels
     targets = eval_target_labels(seed, bundle)
@@ -259,14 +270,13 @@ def stage_eval(config, seed, out):
 
     for name, slug in (("Noise", "noise"), ("P2P", "p2p"), ("DHTA", "dhta"),
                        ("ProS-GAN", "prosgan")):
-        path = out / f"adversarial_{slug}.npz"
-        if not path.is_file():
-            continue
-        perturbed = _load_examples(out, slug, bundle.query_images, targets)
-        curves[slug], true_report = evaluate_queries(model.codes(perturbed), matrix,
-                                                     db_labels, targets, labels)
-        methods[name] = _method_row(curves[slug], true_report,
-                                    mean_perceptibility(bundle.query_images, perturbed))
+        file = f"adversarial_{slug}.npz"
+        if (out / file).is_file():
+            perturbed = _load_examples(file, bundle, targets, config, seed, out)
+            curves[slug], true_report = evaluate_queries(model.codes(perturbed), matrix,
+                                                         db_labels, targets, labels)
+            methods[name] = _method_row(curves[slug], true_report,
+                                        mean_perceptibility(bundle.query_images, perturbed))
 
     # upper references: rank by the chosen target codes themselves
     anchors = anchor_codes(targets, db_labels, matrix, stage_rng(seed, "anchor"),
@@ -274,9 +284,8 @@ def stage_eval(config, seed, out):
     curves["anchor"] = evaluate_queries(anchors, matrix, db_labels, targets)[0]
     methods["Anchor-code"] = _method_row(curves["anchor"])
 
-    stack_path = out / "attack_stack.json"
-    if stack_path.is_file():
-        stack = _load_stack(config, seed, out)
+    if (out / "attack_stack.json").is_file():
+        stack = read("attack_stack.json", config, seed, out)
         proto_codes = binarize(stack.prototype.forward(targets).continuous_code.values)
         curves["prototype"] = evaluate_queries(proto_codes, matrix, db_labels, targets)[0]
         methods["Prototype-code"] = _method_row(curves["prototype"])
@@ -298,9 +307,9 @@ def stage_eval(config, seed, out):
 def stage_transfer_eval(config, seed, out):
     """Train a second model and score the generator's output against it."""
     out = Path(out)
-    bundle = _load_data(out)
+    bundle = read("dataset.npz", config, seed, out)
     targets = eval_target_labels(seed, bundle)
-    perturbed = _load_examples(out, "prosgan", bundle.query_images, targets)
+    perturbed = _load_examples("adversarial_prosgan.npz", bundle, targets, config, seed, out)
     model_b, losses = train_target_model(bundle.train_images,
                                          bundle.train_labels,
                                          config.transfer_code_length,
@@ -329,10 +338,8 @@ _STAGE_TABLE = {
     "train_hash": stage_train_hash,
     "encode_db": stage_encode_db,
     "train_attack": stage_train_attack,
-    "attack": functools.partial(stage_attack, method="prosgan"),
-    "p2p": functools.partial(stage_attack, method="p2p"),
-    "dhta": functools.partial(stage_attack, method="dhta"),
-    "noise": functools.partial(stage_attack, method="noise"),
+    **{stage: functools.partial(stage_attack, method=slug)
+       for stage, slug in _ATTACKS.items()},
     "eval": stage_eval,
     "transfer_eval": stage_transfer_eval,
 }

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from hashattack.errors import DimensionError
+
 
 def finite_difference(loss_fn, arrays, step=1e-5):
     """Central-difference gradients of ``loss_fn(*arrays)`` for each array.
@@ -37,6 +39,23 @@ def assert_grad_close(analytic, numeric, rel=1e-4, floor=1e-7):
         f"gradient mismatch at flat index {worst}: "
         f"analytic {analytic.reshape(-1)[worst]!r} vs numeric {numeric.reshape(-1)[worst]!r}"
     )
+
+
+def average_precision(relevance):
+    """AP over an ordered 0/1 relevance list; 0 when nothing is relevant.
+
+    The per-query oracle that the vectorised scoring in
+    ``evaluation.evaluate_queries`` is checked against.
+    """
+    relevance = np.asarray(relevance, dtype=np.float64)
+    if relevance.ndim != 1 or relevance.size == 0:
+        raise DimensionError(f"relevance must be a non-empty vector, got {relevance.shape}")
+    total = relevance.sum()
+    if total == 0.0:
+        return 0.0
+    hits = np.cumsum(relevance)
+    ranks = np.arange(1, relevance.size + 1)
+    return float(np.sum((hits / ranks) * relevance) / total)
 
 
 @pytest.fixture

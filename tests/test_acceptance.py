@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import assert_grad_close, finite_difference
+from conftest import assert_grad_close, average_precision, finite_difference
 from hashattack import tensor as T
 from hashattack.baselines import anchor_code
 from hashattack.checkpoint import (
@@ -30,7 +30,7 @@ from hashattack.checkpoint import (
 from hashattack.config import ExperimentConfig
 from hashattack.data import load_bundle
 from hashattack.errors import CheckpointError
-from hashattack.evaluation import average_precision, evaluate_queries, mean_perceptibility
+from hashattack.evaluation import evaluate_queries, mean_perceptibility
 from hashattack.experiment import (
     STAGE_ORDER,
     eval_target_labels,

@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -97,31 +98,15 @@ def test_transfer_eval_before_attack_names_the_attack_command(tmp_path, capsys):
     assert not (tmp_path / "run" / "transfer_model.json").exists()
 
 
-# each upstream file: its loader in an empty directory, and the stage that writes it
-_UPSTREAM = {
-    "dataset": ("dataset.npz", experiment._load_data, "gen_data"),
-    "hash_model": ("hash_model.json",
-                   lambda out: experiment._load_hash(ExperimentConfig(), 1, out), "train_hash"),
-    "codes": ("codes.npz", experiment._load_codes, "encode_db"),
-    "attack_stack": ("attack_stack.json",
-                     lambda out: experiment._load_stack(ExperimentConfig(), 1, out),
-                     "train_attack"),
-    **{slug: (f"adversarial_{slug}.npz",
-              lambda out, slug=slug: experiment._load_examples(out, slug, None, None),
-              "attack" if slug == "prosgan" else slug)
-       for slug in ("prosgan", "p2p", "dhta", "noise")},
-}
-
-
-@pytest.mark.parametrize("slug", list(_UPSTREAM))
-def test_a_missing_attack_output_names_the_command_that_writes_it(tmp_path, slug):
-    name, load, stage = _UPSTREAM[slug]
+@pytest.mark.parametrize("name", list(experiment.ARTIFACTS),
+                         ids=lambda name: Path(name).stem.removeprefix("adversarial_"))
+def test_a_missing_attack_output_names_the_command_that_writes_it(tmp_path, name):
     with pytest.raises(CheckpointMissingError) as caught:
-        load(tmp_path)
+        experiment.read(name, ExperimentConfig(), 1, tmp_path)
     missing, hint = re.fullmatch(r"missing (\S+); run (.+) first", str(caught.value)).groups()
     assert missing == name
     args = build_parser().parse_args([*hint.split(), "--seed", "1", "--out", str(tmp_path)])
-    assert args.stage == stage
+    assert args.stage == experiment.ARTIFACTS[name][0]
 
 
 def test_gen_data_success_prints_summary(tmp_path, capsys):

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import average_precision
 from hashattack import evaluation
 from hashattack.data import build_similarity_matrix
 from hashattack.errors import DimensionError, InputError
 from hashattack.evaluation import (
-    average_precision,
     evaluate_queries,
     mean_perceptibility,
     rank_database,

@@ -269,16 +269,19 @@ def test_timings_give_per_image_latency_and_throughput(tiny_config, tmp_path,
 def test_attack_stages_store_queries_and_shared_targets(tiny_config, tmp_path):
     for name in _UPSTREAM + tuple(_ATTACK_STAGES.values()):
         experiment.execute_stage(name, tiny_config, 6, tmp_path)
-    bundle = load_bundle(tmp_path / "dataset.npz")
+    bundle = experiment.read("dataset.npz", tiny_config, 6, tmp_path)
     targets = experiment.eval_target_labels(6, bundle)
     for method in _ATTACK_STAGES:
-        # the load refuses a file whose originals or targets are not these
-        perturbed = experiment._load_examples(tmp_path, method, bundle.query_images,
-                                              targets)
+        originals, perturbed, stored_targets = experiment.read(
+            f"adversarial_{method}.npz", tiny_config, 6, tmp_path)
+        assert np.array_equal(originals, bundle.query_images), method
+        assert np.array_equal(stored_targets, targets), method
         assert perturbed.shape == bundle.query_images.shape, method
         assert not np.array_equal(perturbed, bundle.query_images), method
+    # the scoring stages refuse a file whose originals or targets are not these
     with pytest.raises(CheckpointMismatchError, match="adversarial_p2p.npz"):
-        experiment._load_examples(tmp_path, "p2p", bundle.query_images, 1.0 - targets)
+        experiment._load_examples("adversarial_p2p.npz", bundle, 1.0 - targets,
+                                  tiny_config, 6, tmp_path)
 
 
 @pytest.mark.parametrize("damage", ["[]", "{"])
@@ -304,15 +307,15 @@ def _bundle_bytes():
     return buffer.getvalue()
 
 
-# (file name, loader over the run directory, bytes of a valid file)
+def _read(name, out):
+    return experiment.read(name, ExperimentConfig(), 1, out)
+
+
+# (file name, bytes of a valid file)
 _NPZ_LOADERS = {
-    "dataset": ("dataset.npz", lambda out: load_bundle(out / "dataset.npz"),
-                _bundle_bytes()),
-    "codes": ("codes.npz", experiment._load_codes,
-              _npz_bytes(code_matrix=np.ones((4, 3)))),
+    "dataset": ("dataset.npz", _bundle_bytes()),
+    "codes": ("codes.npz", _npz_bytes(code_matrix=np.ones((4, 3)))),
     "examples": ("adversarial_p2p.npz",
-                 lambda out: experiment._load_examples(out, "p2p", np.zeros((2, 4)),
-                                                       np.eye(2)),
                  _npz_bytes(originals=np.zeros((2, 4)), perturbed=np.ones((2, 4)),
                             target_labels=np.eye(2))),
 }
@@ -333,13 +336,13 @@ def _damaged(valid):
 @settings(deadline=None)
 @given(data=st.data())
 def test_fuzzed_npz_loads_or_raises_checkpoint_error(kind, data):
-    name, load, valid = _NPZ_LOADERS[kind]
+    name, valid = _NPZ_LOADERS[kind]
     payload = data.draw(_damaged(valid))
     with tempfile.TemporaryDirectory() as scratch:
         out = Path(scratch)
         (out / name).write_bytes(payload)
         try:
-            load(out)
+            _read(name, out)
         except CheckpointError:
             pass
 
@@ -351,10 +354,61 @@ def test_damaged_codes_are_corrupt(tmp_path):
     raw_member = io.BytesIO()
     with zipfile.ZipFile(raw_member, "w") as archive:
         archive.writestr("code_matrix.npy", b"no npy header")
-    for payload, message in ((_NPZ_LOADERS["codes"][2][:40], "codes.npz"),
+    signs = np.ones((4, 3))
+    for payload, message in ((_NPZ_LOADERS["codes"][1][:40], "codes.npz"),
                              (bare.getvalue(), "not an npz archive"),
                              (raw_member.getvalue(), "not an array"),
-                             (_npz_bytes(codes=np.ones((4, 3))), "code_matrix")):
+                             (_npz_bytes(codes=signs), "code_matrix"),
+                             # a matrix that is not a 2-D array of +/-1
+                             *((_npz_bytes(code_matrix=matrix), "codes.npz: code_matrix")
+                               for matrix in (signs[0], signs[None], np.float64(1.0),
+                                              np.where(np.eye(4, 3), 0.5, 1.0),
+                                              np.full((4, 3), np.nan), signs > 0,
+                                              signs.astype(str), signs.astype(complex)))):
         path.write_bytes(payload)
         with pytest.raises(CheckpointCorruptError, match=message):
-            experiment._load_codes(tmp_path)
+            _read("codes.npz", tmp_path)
+    mixed = np.array([[1.0, -1.0, 1.0], [-1.0, -1.0, 1.0]])
+    for matrix in (mixed, mixed.astype(np.int8)):
+        path.write_bytes(_npz_bytes(code_matrix=matrix))
+        assert np.array_equal(_read("codes.npz", tmp_path), matrix)
+
+
+def test_codes_that_do_not_fit_the_model_and_database_are_refused(tiny_config, tmp_path):
+    for name in ("gen_data", "train_hash", "encode_db"):
+        experiment.execute_stage(name, tiny_config, 2, tmp_path)
+    path = tmp_path / "codes.npz"
+    with np.load(path) as blob:
+        matrix = blob["code_matrix"]
+    for damaged, error in ((matrix[0], CheckpointCorruptError),
+                           (matrix[:, :-1], CheckpointMismatchError),
+                           (matrix[:-1], CheckpointMismatchError),
+                           (matrix.T, CheckpointMismatchError)):
+        np.savez(path, code_matrix=damaged)
+        for stage in ("p2p", "dhta", "eval"):
+            with pytest.raises(error, match="codes.npz"):
+                experiment.execute_stage(stage, tiny_config, 2, tmp_path)
+    assert not list(tmp_path.glob("adversarial_*")) and not (tmp_path / "report.json").exists()
+
+
+def test_an_empty_query_split_is_refused_at_load(tiny_config, tmp_path):
+    for name in _UPSTREAM:
+        experiment.execute_stage(name, tiny_config, 2, tmp_path)
+    bundle = load_bundle(tmp_path / "dataset.npz")
+    save_bundle(dataclasses.replace(bundle, query_images=bundle.query_images[:0],
+                                    query_labels=bundle.query_labels[:0]),
+                tmp_path / "dataset.npz")
+    for stage in ("attack", "noise", "p2p", "eval"):
+        with pytest.raises(CheckpointCorruptError, match="dataset.npz: query_images"):
+            experiment.execute_stage(stage, tiny_config, 2, tmp_path)
+    assert not list(tmp_path.glob("adversarial_*")) and not (tmp_path / "report.json").exists()
+
+
+def test_each_table_file_first_appears_in_the_stage_that_writes_it(tiny_config, tmp_path):
+    writer = {}
+    for stage in experiment.STAGE_ORDER:
+        experiment.execute_stage(stage, tiny_config, 4, tmp_path)
+        for name in experiment.ARTIFACTS:
+            if (tmp_path / name).is_file():
+                writer.setdefault(name, stage)
+    assert writer == {name: stage for name, (stage, _) in experiment.ARTIFACTS.items()}
