@@ -139,10 +139,18 @@ def save_bundle(bundle, path):
 
 
 def load_bundle(path):
+    """The bundle at ``path``; each split must hold 2-D images with rows and one label row each."""
+    name = Path(path).name
     spec, *arrays = load_npz(path, BUNDLE_KEYS)
     if spec.shape != (3,) or spec.dtype.kind not in "iu":
-        raise CheckpointCorruptError(f"{Path(path).name}: bad image spec {spec!r}")
+        raise CheckpointCorruptError(f"{name}: bad image spec {spec!r}")
     bundle = DatasetBundle(tuple(int(v) for v in spec), *arrays)
-    if bundle.query_images.shape[:1] == (0,):
-        raise CheckpointCorruptError(f"{Path(path).name}: query_images holds no rows")
+    for split in ("train", "database", "query"):
+        images, labels = getattr(bundle, f"{split}_images"), getattr(bundle, f"{split}_labels")
+        if images.ndim != 2 or images.shape[0] == 0:
+            raise CheckpointCorruptError(f"{name}: {split}_images of shape {images.shape} "
+                                         "is not a 2-D block with rows")
+        if labels.ndim != 2 or labels.shape[0] != images.shape[0]:
+            raise CheckpointCorruptError(f"{name}: {split}_labels of shape {labels.shape} "
+                                         f"does not hold one 2-D row per {split}_images row")
     return bundle

@@ -70,6 +70,7 @@ class Generator(Module):
 
     def forward(self, images, representations):
         """Traced perturbed batch; both inputs are (batch, ...) rows."""
+        images = T.as_tensor(images)
         conditioning = self.label_decoder.forward(representations)
         mixed = T.concat([images, conditioning])
         core_out = self.core.forward(mixed)
@@ -139,7 +140,7 @@ def loss_hamming(target_codes, continuous_codes):
 
 def loss_reconstruction(images, perturbed):
     """Batch sum of squared pixel differences."""
-    return T.total(T.square(T.sub(perturbed, images)))
+    return T.total(T.square(T.sub(perturbed, T.as_tensor(images))))
 
 
 def _score_gap(scores, labels, flag, class_mask):

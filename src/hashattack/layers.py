@@ -93,7 +93,7 @@ class DenseLayer(Module):
         yield "bias", self.bias
 
     def forward(self, x):
-        pre = T.bias_add(T.matmul(x, self.weight), self.bias)
+        pre = T.bias_add(T.matmul(T.as_tensor(x), self.weight), self.bias)
         return _ACTIVATIONS[self.activation](pre)
 
 

@@ -62,7 +62,7 @@ class PrototypeNet(Module):
 
     def forward(self, labels):
         """Traced outputs for a (batch, classes) 0/1 label matrix."""
-        labels = T._as_tensor(labels)
+        labels = T.as_tensor(labels)
         # the trunk's first matmul checks the shape, so the row sums below see a matrix
         rep = self.trunk.forward(labels)
         if np.any(labels.values.sum(axis=1) == 0):

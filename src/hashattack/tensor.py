@@ -1,9 +1,10 @@
 """Reverse-mode automatic differentiation over a gradient tape.
 
 A ``Tape`` records operations in execution order.  Leaves are registered
-with ``Tape.watch``; every op whose inputs touch the tape appends one
-``(parents, pulls)`` node: per recorded parent, its position and a
-function that maps the output gradient to that parent's contribution.
+with ``Tape.watch`` and get the empty node ``()``; every op whose
+operands touch the tape appends one node, a tuple of ``(parent
+position, pull)`` edges, one per attached operand in operand order,
+where ``pull`` maps the output gradient to that parent's contribution.
 Used as a ``with`` block, a tape releases the leaves it watched when
 the block ends, so later ops treat them as constants again.
 ``backward`` walks the node list once in reverse from a scalar root,
@@ -11,11 +12,14 @@ accumulating into a table indexed by node position.  Parents always
 precede children in the list, so a single reverse sweep suffices and
 nodes recorded after the root are never visited.
 
-Values are float64 numpy arrays throughout.  Ops require exact shape
-agreement (no silent broadcasting); the one blessed broadcast is
-``bias_add``, which adds a vector across the rows of a matrix.  Each op
-raises ``DimensionError`` on a mismatch before it returns, so callers
-rely on these checks and do not repeat them.
+Ops take ``Tensor`` operands only; a caller wraps a constant array with
+``Tensor(...)``, and the network entry points that accept raw rows
+convert them with ``as_tensor``.  Values are float64 numpy arrays
+throughout.  Ops require exact shape agreement (no silent
+broadcasting); the one blessed broadcast is ``bias_add``, which adds a
+vector across the rows of a matrix.  Each op raises ``DimensionError``
+on a mismatch before it returns, so callers rely on these checks and do
+not repeat them.
 """
 
 import numpy as np
@@ -76,7 +80,7 @@ class Tape:
             return tensor
         tensor.tape = self
         tensor.index = len(self.nodes)
-        self.nodes.append(((), ()))
+        self.nodes.append(())
         self._watched.append(tensor)
         return tensor
 
@@ -115,47 +119,35 @@ def backward(tape, root):
         grad = table[i]
         if grad is None:
             continue
-        parents, pulls = tape.nodes[i]
-        for parent, pull in zip(parents, pulls):
+        for parent, pull in tape.nodes[i]:
             contribution = pull(grad)
             # no in-place add: a pull may hand the same array to several parents
-            if table[parent] is None:
-                table[parent] = contribution
-            else:
-                table[parent] = table[parent] + contribution
+            table[parent] = contribution if table[parent] is None else table[parent] + contribution
     return Gradients(tape, table)
 
 
-def _as_tensor(x):
+def as_tensor(x):
+    """``x`` if it is a ``Tensor``, else a constant wrapping the array ``x``."""
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _joint_tape(operands):
+def _node(values, *edges):
+    """Wrap op output ``values``; if an operand is attached, append a node of the attached edges."""
+    out = Tensor(values)
     tape = None
-    for t in operands:
-        if t.tape is None:
+    node = []
+    for operand, pull in edges:
+        if operand.tape is None:
             continue
         if tape is None:
-            tape = t.tape
-        elif tape is not t.tape:
+            tape = operand.tape
+        elif operand.tape is not tape:
             raise ContractError("operands are recorded on different tapes")
-    return tape
-
-
-def _record(out, operands, pull_fns):
-    """Attach ``out`` if any operand is attached; constants drop out."""
-    tape = _joint_tape(operands)
-    if tape is None:
-        return out
-    parents = []
-    pulls = []
-    for t, fn in zip(operands, pull_fns):
-        if t.tape is not None:
-            parents.append(t.index)
-            pulls.append(fn)
-    out.tape = tape
-    out.index = len(tape.nodes)
-    tape.nodes.append((tuple(parents), tuple(pulls)))
+        node.append((operand.index, pull))
+    if tape is not None:
+        out.tape = tape
+        out.index = len(tape.nodes)
+        tape.nodes.append(tuple(node))
     return out
 
 
@@ -165,49 +157,36 @@ def _need_same_shape(op, a, b):
 
 
 def add(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
     _need_same_shape("add", a, b)
-    out = Tensor(a.values + b.values)
-    return _record(out, (a, b), (lambda g: g, lambda g: g))
+    return _node(a.values + b.values, (a, lambda g: g), (b, lambda g: g))
 
 
 def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
     _need_same_shape("sub", a, b)
-    out = Tensor(a.values - b.values)
-    return _record(out, (a, b), (lambda g: g, lambda g: -g))
+    return _node(a.values - b.values, (a, lambda g: g), (b, lambda g: -g))
 
 
 def mul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
     _need_same_shape("mul", a, b)
-    out = Tensor(a.values * b.values)
     av, bv = a.values, b.values
-    return _record(out, (a, b), (lambda g: g * bv, lambda g: g * av))
+    return _node(av * bv, (a, lambda g: g * bv), (b, lambda g: g * av))
 
 
 def scale(t, factor):
-    t = _as_tensor(t)
     factor = float(factor)
-    out = Tensor(t.values * factor)
-    return _record(out, (t,), (lambda g: g * factor,))
+    return _node(t.values * factor, (t, lambda g: g * factor))
 
 
 def shift(t, offset):
-    t = _as_tensor(t)
-    out = Tensor(t.values + float(offset))
-    return _record(out, (t,), (lambda g: g,))
+    return _node(t.values + float(offset), (t, lambda g: g))
 
 
 def square(t):
-    t = _as_tensor(t)
-    out = Tensor(t.values * t.values)
     tv = t.values
-    return _record(out, (t,), (lambda g: g * (2.0 * tv),))
+    return _node(tv * tv, (t, lambda g: g * (2.0 * tv)))
 
 
 def matmul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.values.ndim != 2 or b.values.ndim != 2:
         raise DimensionError(
             f"matmul needs 2-D operands, got {a.values.shape} and {b.values.shape}"
@@ -216,13 +195,11 @@ def matmul(a, b):
         raise DimensionError(
             f"matmul inner dimensions disagree: {a.values.shape} by {b.values.shape}"
         )
-    out = Tensor(a.values @ b.values)
     av, bv = a.values, b.values
-    return _record(out, (a, b), (lambda g: g @ bv.T, lambda g: av.T @ g))
+    return _node(av @ bv, (a, lambda g: g @ bv.T), (b, lambda g: av.T @ g))
 
 
 def bias_add(m, v):
-    m, v = _as_tensor(m), _as_tensor(v)
     if m.values.ndim != 2 or v.values.ndim != 1:
         raise DimensionError(
             f"bias_add needs a matrix and a vector, got {m.values.shape} and {v.values.shape}"
@@ -231,30 +208,23 @@ def bias_add(m, v):
         raise DimensionError(
             f"bias width {v.values.shape[0]} does not match matrix columns {m.values.shape[1]}"
         )
-    out = Tensor(m.values + v.values)
-    return _record(out, (m, v), (lambda g: g, lambda g: g.sum(axis=0)))
+    return _node(m.values + v.values, (m, lambda g: g), (v, lambda g: g.sum(axis=0)))
 
 
 def transpose(t):
-    t = _as_tensor(t)
     if t.values.ndim != 2:
         raise DimensionError(f"transpose needs a 2-D operand, got {t.values.shape}")
-    out = Tensor(t.values.T.copy())
-    return _record(out, (t,), (lambda g: g.T,))
+    return _node(t.values.T.copy(), (t, lambda g: g.T))
 
 
 def relu(t):
-    t = _as_tensor(t)
     tv = t.values
-    out = Tensor(np.maximum(tv, 0.0))
-    return _record(out, (t,), (lambda g: g * (tv > 0.0),))
+    return _node(np.maximum(tv, 0.0), (t, lambda g: g * (tv > 0.0)))
 
 
 def tanh(t):
-    t = _as_tensor(t)
-    out_values = np.clip(np.tanh(t.values), -_ONE_BELOW, _ONE_BELOW)
-    out = Tensor(out_values)
-    return _record(out, (t,), (lambda g: g * (1.0 - out_values * out_values),))
+    out = np.clip(np.tanh(t.values), -_ONE_BELOW, _ONE_BELOW)
+    return _node(out, (t, lambda g: g * (1.0 - out * out)))
 
 
 def sigmoid_values(v):
@@ -267,39 +237,31 @@ def sigmoid_values(v):
 
 
 def sigmoid(t):
-    t = _as_tensor(t)
-    out_values = sigmoid_values(t.values)
-    out = Tensor(out_values)
-    return _record(out, (t,), (lambda g: g * out_values * (1.0 - out_values),))
+    out = sigmoid_values(t.values)
+    return _node(out, (t, lambda g: g * out * (1.0 - out)))
 
 
 def softplus(t):
     """log(1 + exp(x)), computed without overflow for large x."""
-    t = _as_tensor(t)
     tv = t.values
-    out = Tensor(np.logaddexp(0.0, tv))
-    return _record(out, (t,), (lambda g: g * sigmoid_values(tv),))
+    return _node(np.logaddexp(0.0, tv), (t, lambda g: g * sigmoid_values(tv)))
 
 
 def total(t):
     """Sum of all entries, as a scalar tensor."""
-    t = _as_tensor(t)
-    out = Tensor(np.sum(t.values))
     shape = t.values.shape
-    return _record(out, (t,), (lambda g: np.full(shape, float(g)),))
+    return _node(np.sum(t.values), (t, lambda g: np.full(shape, float(g))))
 
 
 def concat(tensors):
     """Join 2-D row blocks side by side: (rows, a) and (rows, b) make (rows, a + b)."""
-    tensors = [_as_tensor(t) for t in tensors]
     shapes = [t.values.shape for t in tensors]
     if not shapes or any(len(shape) != 2 or shape[0] != shapes[0][0] for shape in shapes):
         raise DimensionError(f"concat joins 2-D blocks with equal row counts, got {shapes}")
-    out = Tensor(np.concatenate([t.values for t in tensors], axis=1))
-    pulls = []
+    edges = []
     start = 0
     for t in tensors:
         stop = start + t.values.shape[1]
-        pulls.append(lambda g, lo=start, hi=stop: g[:, lo:hi])
+        edges.append((t, lambda g, lo=start, hi=stop: g[:, lo:hi]))
         start = stop
-    return _record(out, tuple(tensors), tuple(pulls))
+    return _node(np.concatenate([t.values for t in tensors], axis=1), *edges)

@@ -391,15 +391,32 @@ def test_codes_that_do_not_fit_the_model_and_database_are_refused(tiny_config, t
     assert not list(tmp_path.glob("adversarial_*")) and not (tmp_path / "report.json").exists()
 
 
-def test_an_empty_query_split_is_refused_at_load(tiny_config, tmp_path):
+# each id starts with the array the refusal must name
+_MALFORMED_SPLITS = {
+    "query_images-empty": lambda b: {"query_images": b.query_images[:0],
+                                     "query_labels": b.query_labels[:0]},
+    "database_images-empty": lambda b: {"database_images": b.database_images[:0],
+                                        "database_labels": b.database_labels[:0]},
+    "train_images-empty": lambda b: {"train_images": b.train_images[:0],
+                                     "train_labels": b.train_labels[:0]},
+    "query_images-3d": lambda b: {"query_images": b.query_images[:, None, :]},
+    "query_labels-1d": lambda b: {"query_labels": b.query_labels[:, 0]},
+    "database_labels-short": lambda b: {"database_labels": b.database_labels[:-1]},
+    "train_labels-long": lambda b: {"train_labels": np.vstack([b.train_labels,
+                                                               b.train_labels[:1]])},
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_SPLITS))
+def test_a_malformed_split_is_refused_at_load(case, tiny_config, tmp_path):
     for name in _UPSTREAM:
         experiment.execute_stage(name, tiny_config, 2, tmp_path)
     bundle = load_bundle(tmp_path / "dataset.npz")
-    save_bundle(dataclasses.replace(bundle, query_images=bundle.query_images[:0],
-                                    query_labels=bundle.query_labels[:0]),
+    save_bundle(dataclasses.replace(bundle, **_MALFORMED_SPLITS[case](bundle)),
                 tmp_path / "dataset.npz")
+    array = case.split("-")[0]
     for stage in ("attack", "noise", "p2p", "eval"):
-        with pytest.raises(CheckpointCorruptError, match="dataset.npz: query_images"):
+        with pytest.raises(CheckpointCorruptError, match=f"dataset.npz: {array} "):
             experiment.execute_stage(stage, tiny_config, 2, tmp_path)
     assert not list(tmp_path.glob("adversarial_*")) and not (tmp_path / "report.json").exists()
 

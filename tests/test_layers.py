@@ -3,7 +3,10 @@ import pytest
 
 from hashattack import tensor as T
 from hashattack.errors import DimensionError, InputError
+from hashattack.gan import Generator, loss_reconstruction
+from hashattack.hashing import HashModel
 from hashattack.layers import MLP, DenseLayer, watch_parameters
+from hashattack.prototype import PrototypeNet
 
 from conftest import assert_grad_close, finite_difference
 
@@ -106,6 +109,32 @@ def test_untraced_forward_matches_traced(rng):
     assert np.array_equal(traced, untraced)
     with pytest.raises(DimensionError):
         net.forward_values(np.zeros((2, 4)))
+
+    # each entry point that takes raw rows gives the bits it gives for the same rows as a Tensor
+    images = rng.random((4, 6))
+    labels = np.eye(3)[[0, 1, 2, 0]]
+    representations = rng.normal(size=(4, 5))
+    hash_model = HashModel.create(rng, 6, 8, hidden_widths=(5,))
+    generator = Generator.create(rng, representation_width=5, pixels=6,
+                                 decoder_hidden=7, bottleneck=4)
+    prototype = PrototypeNet.create(rng, 3, 8, hidden_widths=(5,), representation_width=5)
+    perturbed = generator.forward(T.Tensor(images), T.Tensor(representations))
+
+    def prototype_outputs(rows):
+        out = prototype.forward(rows)
+        return [out.representation, out.continuous_code, out.predicted_label]
+
+    entry_points = [
+        (lambda rows: [net.layers[0].forward(rows)], x),
+        (lambda rows: [net.forward(rows)], x),
+        (lambda rows: [hash_model.forward(rows)], images),
+        (lambda rows: [generator.forward(rows, representations)], images),
+        (prototype_outputs, labels),
+        (lambda rows: [loss_reconstruction(rows, perturbed)], images),
+    ]
+    for outputs, rows in entry_points:
+        raw = [t.values.tobytes() for t in outputs(rows)]
+        assert raw == [t.values.tobytes() for t in outputs(T.Tensor(rows))]
 
 
 def test_tape_block_releases_what_it_watched(rng):

@@ -315,3 +315,25 @@ def test_constant_branches_do_not_record(rng):
     assert out.tape is tape
     grads = T.backward(tape, T.total(out))
     assert np.allclose(grads.wrt(x), const.values)
+
+
+def test_a_node_holds_one_edge_per_attached_operand(rng):
+    tape = T.Tape()
+    watched = tape.watch(T.Tensor(rng.normal(size=(2, 3))))
+    constant = T.Tensor(rng.normal(size=(2, 3)))
+    assert tape.nodes[watched.index] == ()
+    product = T.mul(watched, constant)
+    [(parent, pull)] = tape.nodes[product.index]
+    assert parent == watched.index
+    grad = rng.normal(size=(2, 3))
+    assert np.array_equal(pull(grad), grad * constant.values)
+
+    w1 = tape.watch(T.Tensor(rng.normal(size=(2, 1))))
+    w2 = tape.watch(T.Tensor(rng.normal(size=(2, 2))))
+    joined = T.concat([w1, constant, w2])
+    assert joined.index == len(tape.nodes) - 1
+    (first, first_pull), (second, second_pull) = tape.nodes[joined.index]
+    assert (first, second) == (w1.index, w2.index)
+    grad = rng.normal(size=(2, 6))
+    assert np.array_equal(first_pull(grad), grad[:, :1])
+    assert np.array_equal(second_pull(grad), grad[:, 4:])
