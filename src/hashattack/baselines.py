@@ -16,24 +16,27 @@ from .gan import loss_hamming
 from .hashing import binarize
 
 
-def _matching_indices(target_label, db_labels):
-    """Database items sharing a class with the target label; refuses an empty match."""
-    shared = build_similarity_matrix(
-        np.asarray(target_label, dtype=np.float64).reshape(1, -1), db_labels
-    )[0]
-    matching = np.flatnonzero(shared)
-    if matching.size == 0:
-        raise TargetUnsatisfiableError(
-            "no database item shares a class with the target label"
-        )
-    return matching
+def _matching_indices(target_labels, db_labels):
+    """Each target row's database items sharing a class with it, looked up once per
+    distinct label; refuses a label that no item shares."""
+    distinct, row_of = np.unique(np.asarray(target_labels, dtype=np.float64), axis=0,
+                                 return_inverse=True)
+    matches = [np.flatnonzero(shared) for shared in build_similarity_matrix(distinct, db_labels)]
+    if not all(matching.size for matching in matches):
+        raise TargetUnsatisfiableError("no database item shares a class with the target label")
+    return [matches[index] for index in row_of.reshape(-1)]
+
+
+def _random_codes(target_labels, db_labels, code_matrix, rng):
+    """One code per target row, drawn in row order among the items sharing its class."""
+    picks = [matching[int(rng.integers(0, matching.size))]
+             for matching in _matching_indices(target_labels, db_labels)]
+    return code_matrix.T[picks]
 
 
 def p2p_target_code(target_label, db_labels, code_matrix, rng):
     """A uniformly drawn code among database items sharing a target class."""
-    matching = _matching_indices(target_label, db_labels)
-    pick = matching[int(rng.integers(0, matching.size))]
-    return code_matrix[:, pick].copy()
+    return _random_codes(np.reshape(target_label, (1, -1)), db_labels, code_matrix, rng)[0]
 
 
 def anchor_code(codes):
@@ -50,18 +53,19 @@ def anchor_code(codes):
 
 def anchor_code_for_label(target_label, db_labels, code_matrix, rng, set_size):
     """Anchor code over a sample of target-labeled database items."""
-    if set_size < 1:
-        raise InputError(f"anchor set size must be positive, got {set_size}")
-    matching = _matching_indices(target_label, db_labels)
-    take = min(set_size, matching.size)
-    chosen = rng.choice(matching, size=take, replace=False)
-    return anchor_code(code_matrix[:, chosen].T)
+    return anchor_codes(np.reshape(target_label, (1, -1)), db_labels, code_matrix, rng,
+                        set_size)[0]
 
 
 def anchor_codes(target_labels, db_labels, code_matrix, rng, set_size):
     """The (count, K) block of anchor codes, one per target label, drawn in row order."""
-    return np.stack([anchor_code_for_label(target, db_labels, code_matrix, rng, set_size)
-                     for target in target_labels])
+    if set_size < 1:
+        raise InputError(f"anchor set size must be positive, got {set_size}")
+    codes = []
+    for matching in _matching_indices(target_labels, db_labels):
+        chosen = rng.choice(matching, size=min(set_size, matching.size), replace=False)
+        codes.append(anchor_code(code_matrix[:, chosen].T))
+    return np.stack(codes)
 
 
 def iterative_gradient_attack(model, images, target_codes, config):
@@ -91,7 +95,7 @@ def iterative_gradient_attack(model, images, target_codes, config):
 
 def p2p_attack(model, images, target_labels, db_labels, code_matrix, config, rng):
     """Random-target-code attacks on every (image, target label) row pair."""
-    codes = [p2p_target_code(target, db_labels, code_matrix, rng) for target in target_labels]
+    codes = _random_codes(target_labels, db_labels, code_matrix, rng)
     return iterative_gradient_attack(model, images, codes, config)
 
 

@@ -39,9 +39,27 @@ class Checkpoint:
     config_hash: str
 
 
+def _canonical_pieces(value):
+    """The compact, key-sorted JSON text of ``value`` in pieces; an ASCII string of letters
+    and digits, such as tensor hex, needs no escaping, so it passes as is."""
+    if isinstance(value, str) and value.isascii() and (raw := value.encode()).isalnum():
+        yield from (b'"', raw, b'"')
+    elif isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        yield b"{"
+        for index, key in enumerate(sorted(value)):
+            yield (b"," if index else b"") + json.dumps(key).encode() + b":"
+            yield from _canonical_pieces(value[key])
+        yield b"}"
+    else:
+        yield json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+
+
 def _canonical_digest(payload):
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    """sha256 of ``json.dumps(payload, sort_keys=True, separators=(",", ":"))``."""
+    digest = hashlib.sha256()
+    for piece in _canonical_pieces(payload):  # one tensor's hex at a time, never joined
+        digest.update(piece)
+    return digest.hexdigest()
 
 
 def save_checkpoint(path, checkpoint):
@@ -61,9 +79,7 @@ def save_checkpoint(path, checkpoint):
         "meta": checkpoint.meta,
         "tensors": packed,
     }
-    payload["checksum"] = _canonical_digest(
-        {k: v for k, v in payload.items() if k != "checksum"}
-    )
+    payload["checksum"] = _canonical_digest(payload)
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1))
 
 
@@ -82,8 +98,7 @@ def load_checkpoint(path, kind, config_hash):
         raise CheckpointVersionError(
             f"{path} uses format version {version!r}, this build reads {FORMAT_VERSION}"
         )
-    body = {k: v for k, v in payload.items() if k != "checksum"}
-    if payload.get("checksum") != _canonical_digest(body):
+    if payload.pop("checksum", None) != _canonical_digest(payload):
         raise CheckpointCorruptError(f"checksum mismatch in {path}")
     if payload.get("kind") != kind:
         raise CheckpointMismatchError(
@@ -98,7 +113,10 @@ def load_checkpoint(path, kind, config_hash):
     try:
         for name, entry in payload["tensors"].items():
             shape = tuple(int(v) for v in entry["shape"])
-            flat = np.frombuffer(bytes.fromhex(entry["data"]), dtype="<f8")
+            raw = bytes.fromhex(entry["data"])
+            if 2 * len(raw) != len(entry["data"]):  # fromhex skips whitespace
+                raise ValueError(f"tensor {name} data is not plain hex")
+            flat = np.frombuffer(raw, dtype="<f8")
             if flat.size != int(np.prod(shape, dtype=np.int64)):
                 raise ValueError(f"tensor {name} does not fill shape {shape}")
             tensors[name] = flat.reshape(shape).astype(np.float64)
@@ -124,30 +142,27 @@ def _save_module(path, kind, module, seed, config_hash, meta):
 
 
 class _BoundedRng:
-    """``default_rng(0)`` for a scaffold's weights, refusing to draw more than
-    ``limit`` elements in all, so an oversized architecture is never allocated."""
+    """The weight source of a scaffold whose weights the load overwrites:
+    it hands out uninitialised blocks, refusing more than ``limit`` elements
+    in all, so an oversized architecture is never allocated."""
 
     def __init__(self, path, limit):
-        self._rng, self._path, self._left = np.random.default_rng(0), path, limit
+        self._path, self._left = path, limit
 
-    def _draw(self, method, a, b, size):
+    def normal(self, loc, scale, size):
         self._left -= math.prod(size)
         if self._left < 0:
             raise CheckpointCorruptError(f"{self._path}: architecture outgrows the stored tensors")
-        return getattr(self._rng, method)(a, b, size)
+        return np.empty(size)
 
-    def normal(self, loc, scale, size):
-        return self._draw("normal", loc, scale, size)
-
-    def uniform(self, low, high, size):
-        return self._draw("uniform", low, high, size)
+    uniform = normal
 
 
 def _load_module(path, kind, cls, config_hash):
     """Build a ``cls`` from the stored architecture, then import its tensors.
 
     ``cls.from_architecture(rng, meta)`` makes the scaffold; the import
-    overwrites all of its initial weights, so any seed works.  The
+    overwrites all of its initial weights, so they are never drawn.  The
     scaffold's ``architecture()`` must then give back every stored
     architecture entry exactly, so redundant fields the build does not
     read cannot disagree with the network.

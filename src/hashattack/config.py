@@ -10,6 +10,7 @@ configuration and checkpoints can refuse to load under a different one.
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -149,6 +150,11 @@ _RULES = (
     (("hash_hidden_widths", "transfer_hidden_widths", "prototype_hidden_widths",
       "discriminator_hidden_widths"),
      lambda v: all(width >= 1 for width in v), "positive"),
+    # numpy sizes and indexes arrays with a C ssize_t, so no size can pass it
+    (tuple(spec.name for spec in fields(ExperimentConfig) if spec.type is int),
+     lambda v: v <= sys.maxsize, f"at most {sys.maxsize}"),
+    (tuple(spec.name for spec in fields(ExperimentConfig) if spec.type is tuple),
+     lambda v: all(width <= sys.maxsize for width in v), f"at most {sys.maxsize}"),
 )
 
 

@@ -111,8 +111,10 @@ BUNDLE_KEYS = tuple(spec.name for spec in fields(DatasetBundle))
 
 
 def load_npz(path, keys):
-    """The named arrays of an npz archive, in ``keys`` order; unreadable is corrupt."""
+    """The named arrays of an npz archive, in ``keys`` order; unreadable is corrupt, and
+    the error names the member that would not read (such as a pickled object array)."""
     name = Path(path).name
+    failed = f"unreadable {name}"
     try:
         # our handle, so it closes even when numpy fails after opening the archive
         with open(path, "rb") as handle:
@@ -120,16 +122,19 @@ def load_npz(path, keys):
             if not isinstance(blob, np.lib.npyio.NpzFile):
                 raise ValueError("not an npz archive")
             with blob:
-                arrays = tuple(blob[key] for key in keys)
+                arrays = []
+                for key in keys:
+                    failed = f"{name}: {key} is unreadable"
+                    arrays.append(blob[key])
     except FileNotFoundError as err:
         raise CheckpointMissingError(f"missing {name}") from err
     # zipfile raises RuntimeError for encrypted or unsupported-method members
     except (OSError, EOFError, ValueError, KeyError, RuntimeError,
             zipfile.BadZipFile, zlib.error) as err:
-        raise CheckpointCorruptError(f"unreadable {name}: {err}") from err
+        raise CheckpointCorruptError(f"{failed}: {err}") from err
     if not all(isinstance(array, np.ndarray) for array in arrays):
         raise CheckpointCorruptError(f"{name} holds a member that is not an array")
-    return arrays
+    return tuple(arrays)
 
 
 def save_bundle(bundle, path):
@@ -139,7 +144,8 @@ def save_bundle(bundle, path):
 
 
 def load_bundle(path):
-    """The bundle at ``path``; each split must hold 2-D images with rows and one label row each."""
+    """The bundle at ``path``; each split must hold numeric 2-D images with rows and one
+    numeric label row each."""
     name = Path(path).name
     spec, *arrays = load_npz(path, BUNDLE_KEYS)
     if spec.shape != (3,) or spec.dtype.kind not in "iu":
@@ -147,6 +153,10 @@ def load_bundle(path):
     bundle = DatasetBundle(tuple(int(v) for v in spec), *arrays)
     for split in ("train", "database", "query"):
         images, labels = getattr(bundle, f"{split}_images"), getattr(bundle, f"{split}_labels")
+        for kind, array in (("images", images), ("labels", labels)):
+            if array.dtype.kind not in "iuf":
+                raise CheckpointCorruptError(f"{name}: {split}_{kind} of dtype {array.dtype} "
+                                             "is not numeric")
         if images.ndim != 2 or images.shape[0] == 0:
             raise CheckpointCorruptError(f"{name}: {split}_images of shape {images.shape} "
                                          "is not a 2-D block with rows")

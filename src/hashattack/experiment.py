@@ -50,17 +50,10 @@ def _write_json(path, payload):
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _cell(value):
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def _write_csv(path, header, rows):
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_cell(value) for value in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """One line per row of Python ``int`` and ``float`` cells, each written as its ``repr``."""
+    Path(path).write_text("\n".join([header, *(",".join(map(repr, row)) for row in rows)])
+                          + "\n")
 
 
 def update_timings(out, **entries):

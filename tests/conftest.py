@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -56,6 +59,16 @@ def average_precision(relevance):
     hits = np.cumsum(relevance)
     ranks = np.arange(1, relevance.size + 1)
     return float(np.sum((hits / ranks) * relevance) / total)
+
+
+def canonical_digest(payload):
+    """sha256 of the compact, key-sorted JSON text of ``payload``.
+
+    The oracle for ``checkpoint._canonical_digest``, which hashes tensor
+    hex as stored rather than dumping it again.
+    """
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.fixture

@@ -6,6 +6,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hashattack import baselines, experiment
 from hashattack import tensor as T
@@ -367,6 +369,42 @@ def test_anchor_attack_draws_codes_like_sequential_calls(monkeypatch):
     assert len(calls) == 1 and np.array_equal(calls[0], np.stack(expected))
     assert rng.random() == after
     assert perturbed.shape == images.shape
+
+
+@st.composite
+def _repeated_targets(draw):
+    """Multi-hot database labels, targets drawn from them with repeats, and codes."""
+    classes = draw(st.integers(2, 4))
+    shapes = st.lists(st.integers(0, 1), min_size=classes, max_size=classes).filter(any)
+    db_labels = np.array(draw(st.lists(shapes, min_size=1, max_size=12)), dtype=np.float64)
+    rows = draw(st.lists(st.integers(0, len(db_labels) - 1), min_size=1, max_size=10))
+    code_matrix = np.where(
+        np.random.default_rng(draw(st.integers(0, 99))).random((5, len(db_labels))) < 0.5,
+        1.0, -1.0)
+    return db_labels, db_labels[rows], code_matrix, draw(st.integers(0, 2**32))
+
+
+@settings(deadline=None, max_examples=60)
+@given(_repeated_targets(), st.integers(1, 4))
+def test_block_target_codes_match_the_per_row_draws(setup, set_size):
+    """Looking the matches up once per distinct label leaves every draw and the rng as is."""
+    db_labels, targets, code_matrix, seed = setup
+    sequential = np.random.default_rng(seed)
+    expected = np.stack([p2p_target_code(t, db_labels, code_matrix, sequential)
+                         for t in targets])
+    rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = []
+        patch.setattr(baselines, "iterative_gradient_attack",
+                      lambda model, images, codes, config: calls.append(codes) or images)
+        p2p_attack(None, targets, targets, db_labels, code_matrix, None, rng)
+    assert np.array_equal(calls[0], expected) and calls[0].flags.c_contiguous
+    assert rng.bit_generator.state == sequential.bit_generator.state
+
+    expected = np.stack([anchor_code_for_label(t, db_labels, code_matrix, sequential, set_size)
+                         for t in targets])
+    assert np.array_equal(anchor_codes(targets, db_labels, code_matrix, rng, set_size), expected)
+    assert rng.bit_generator.state == sequential.bit_generator.state
 
 
 def test_noise_queries_bounds_and_determinism(rng):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hashattack
+from conftest import canonical_digest
 from hashattack.checkpoint import (
     FORMAT_VERSION,
     Checkpoint,
@@ -95,6 +96,43 @@ def test_tampered_tensor_fails_checksum(tmp_path, rng):
     payload["tensors"]["w"]["data"] = ("0" if data[0] != "0" else "1") + data[1:]
     target.write_text(json.dumps(payload, sort_keys=True, indent=1))
     with pytest.raises(CheckpointCorruptError):
+        load_checkpoint(target, "x", "cfg")
+
+
+_JSON_TEXT = st.text(st.characters(codec="utf-8"), max_size=12)  # quotes, NUL, non-ASCII
+_HEX = st.binary(max_size=40).map(bytes.hex)
+_JSON_LEAF = st.none() | st.booleans() | st.integers() | st.floats() | _JSON_TEXT | _HEX
+
+
+@settings(deadline=None)
+@given(tensors=st.dictionaries(_JSON_TEXT | _HEX, st.fixed_dictionaries(
+           {"shape": st.lists(st.integers(0, 9), max_size=3),
+            "data": _HEX | _JSON_TEXT | _JSON_LEAF})),
+       meta=st.recursive(_JSON_LEAF, lambda inner: st.lists(inner, max_size=3)
+                         | st.dictionaries(_JSON_TEXT | _HEX, inner, max_size=3)),
+       seed=_JSON_LEAF)
+def test_canonical_digest_is_the_hash_of_the_canonical_dump(tensors, meta, seed):
+    for payload in ({"format_version": FORMAT_VERSION, "kind": "x", "seed": seed,
+                     "config_hash": "cfg", "meta": meta, "tensors": tensors},
+                    meta, tensors, seed):
+        assert _canonical_digest(payload) == canonical_digest(payload)
+
+
+@pytest.mark.parametrize("damage", [lambda data: data[:8] + " " + data[8:],
+                                    lambda data: data[:8] + "\n" + data[8:],
+                                    lambda data: " " + data + "\t",
+                                    lambda data: data[:-1] + "g",
+                                    lambda data: data[:-2] + "\u00e9\u00e9"])
+def test_tensor_data_that_is_not_plain_hex_is_corrupt(tmp_path, rng, damage):
+    # the checksum matches the damaged text, so only the hex check can refuse it
+    target = tmp_path / "model.json"
+    _save_toy(target, {"w": rng.random(4)})
+
+    def spoil(payload):
+        payload["tensors"]["w"]["data"] = damage(payload["tensors"]["w"]["data"])
+
+    _rewrite(target, spoil)
+    with pytest.raises(CheckpointCorruptError, match="malformed"):
         load_checkpoint(target, "x", "cfg")
 
 

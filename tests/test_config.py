@@ -1,6 +1,7 @@
 """Configuration parsing, canonical serialization, and hashing tests."""
 
 import dataclasses
+import sys
 import tempfile
 from dataclasses import fields
 from functools import partial
@@ -122,6 +123,13 @@ _VALIDATE_ROWS = [
     # zero epsilon is the degenerate identity budget, any step is fine
     ({"epsilon": 0.0, "step_size": 0.5, "iterations": 3}, None),
     ({"anchor_set_size": 0}, "anchor_set_size"),
+    # sizes and widths past what numpy can index
+    ({"classes": 10**30}, "classes"),
+    ({"database_size": sys.maxsize + 1}, "database_size"),
+    ({"hash_epochs": 2**64}, "hash_epochs"),
+    ({"code_length": sys.maxsize}, None),
+    ({"transfer_hidden_widths": (96, 10**30)}, "transfer_hidden_widths"),
+    ({"discriminator_hidden_widths": (sys.maxsize + 1,)}, "discriminator_hidden_widths"),
 ]
 
 

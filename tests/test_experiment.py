@@ -391,6 +391,34 @@ def test_codes_that_do_not_fit_the_model_and_database_are_refused(tiny_config, t
     assert not list(tmp_path.glob("adversarial_*")) and not (tmp_path / "report.json").exists()
 
 
+def _per_cell_csv(path, header, rows):
+    """The per-cell writer ``experiment._write_csv`` replaced, kept as its oracle."""
+    def cell(value):
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return repr(float(value))
+
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(cell(value) for value in row))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+_CSV_FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308 / 3,
+                                             float("inf"), -float("inf"), float("nan"), 1e308])
+
+
+@settings(deadline=None)
+@given(rows=st.lists(st.lists(st.integers() | _CSV_FLOATS, min_size=1, max_size=4),
+                     max_size=6))
+def test_write_csv_writes_the_per_cell_bytes(rows):
+    with tempfile.TemporaryDirectory() as scratch:
+        fast, slow = Path(scratch) / "fast.csv", Path(scratch) / "slow.csv"
+        experiment._write_csv(fast, "a,b", rows)
+        _per_cell_csv(slow, "a,b", rows)
+        assert fast.read_bytes() == slow.read_bytes()
+
+
 # each id starts with the array the refusal must name
 _MALFORMED_SPLITS = {
     "query_images-empty": lambda b: {"query_images": b.query_images[:0],
@@ -404,6 +432,9 @@ _MALFORMED_SPLITS = {
     "database_labels-short": lambda b: {"database_labels": b.database_labels[:-1]},
     "train_labels-long": lambda b: {"train_labels": np.vstack([b.train_labels,
                                                                b.train_labels[:1]])},
+    "train_labels-words": lambda b: {"train_labels": np.where(b.train_labels > 0, "yes", "no")},
+    "query_labels-numeric-text": lambda b: {"query_labels": b.query_labels.astype(str)},
+    "database_images-object": lambda b: {"database_images": b.database_images.astype(object)},
 }
 
 
