@@ -27,16 +27,11 @@ def _matching_indices(target_labels, db_labels):
     return [matches[index] for index in row_of.reshape(-1)]
 
 
-def _random_codes(target_labels, db_labels, code_matrix, rng):
-    """One code per target row, drawn in row order among the items sharing its class."""
+def p2p_codes(target_labels, db_labels, code_matrix, rng):
+    """P2P target codes, one per target row, drawn in row order among the items sharing its class."""
     picks = [matching[int(rng.integers(0, matching.size))]
              for matching in _matching_indices(target_labels, db_labels)]
     return code_matrix.T[picks]
-
-
-def p2p_target_code(target_label, db_labels, code_matrix, rng):
-    """A uniformly drawn code among database items sharing a target class."""
-    return _random_codes(np.reshape(target_label, (1, -1)), db_labels, code_matrix, rng)[0]
 
 
 def anchor_code(codes):
@@ -95,7 +90,7 @@ def iterative_gradient_attack(model, images, target_codes, config):
 
 def p2p_attack(model, images, target_labels, db_labels, code_matrix, config, rng):
     """Random-target-code attacks on every (image, target label) row pair."""
-    codes = _random_codes(target_labels, db_labels, code_matrix, rng)
+    codes = p2p_codes(target_labels, db_labels, code_matrix, rng)
     return iterative_gradient_attack(model, images, codes, config)
 
 

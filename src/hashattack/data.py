@@ -144,13 +144,14 @@ def save_bundle(bundle, path):
 
 
 def load_bundle(path):
-    """The bundle at ``path``; each split must hold numeric 2-D images with rows and one
-    numeric label row each."""
+    """The bundle at ``path``; each split must hold numeric 2-D images with rows of
+    ``prod(image_spec)`` pixels and one numeric label row each, as wide as ``train_labels``."""
     name = Path(path).name
     spec, *arrays = load_npz(path, BUNDLE_KEYS)
     if spec.shape != (3,) or spec.dtype.kind not in "iu":
         raise CheckpointCorruptError(f"{name}: bad image spec {spec!r}")
     bundle = DatasetBundle(tuple(int(v) for v in spec), *arrays)
+    pixels = int(np.prod(bundle.image_spec))
     for split in ("train", "database", "query"):
         images, labels = getattr(bundle, f"{split}_images"), getattr(bundle, f"{split}_labels")
         for kind, array in (("images", images), ("labels", labels)):
@@ -160,7 +161,13 @@ def load_bundle(path):
         if images.ndim != 2 or images.shape[0] == 0:
             raise CheckpointCorruptError(f"{name}: {split}_images of shape {images.shape} "
                                          "is not a 2-D block with rows")
+        if images.shape[1] != pixels:
+            raise CheckpointCorruptError(f"{name}: {split}_images of shape {images.shape} "
+                                         f"does not hold the {pixels} pixels of image_spec")
         if labels.ndim != 2 or labels.shape[0] != images.shape[0]:
             raise CheckpointCorruptError(f"{name}: {split}_labels of shape {labels.shape} "
                                          f"does not hold one 2-D row per {split}_images row")
+        if labels.shape[1] != bundle.train_labels.shape[1]:
+            raise CheckpointCorruptError(f"{name}: {split}_labels of shape {labels.shape} "
+                                         "is not as wide as train_labels")
     return bundle

@@ -16,14 +16,11 @@ _ACTIVATIONS = {
 class Module:
     """A network seen as named parameter tensors.
 
-    A composite lists its sub-networks in ``parts``; a leaf overrides
+    A composite lists its sub-networks as (name prefix, sub-network)
+    pairs, in parameter order, in ``parts``; a leaf overrides
     ``named_parameters``.  The names are the checkpoint tensor names, so
     persistence needs nothing else from a network.
     """
-
-    def parts(self):
-        """(name prefix, sub-network) pairs, in parameter order."""
-        return ()
 
     def named_parameters(self):
         """(name, tensor) pairs; each name is the part prefixes plus the leaf's own name."""

@@ -19,7 +19,7 @@ from hashattack.baselines import (
     iterative_gradient_attack,
     noise_queries,
     p2p_attack,
-    p2p_target_code,
+    p2p_codes,
 )
 from hashattack.config import ExperimentConfig
 from hashattack.data import gen_synthetic_dataset
@@ -88,7 +88,7 @@ def test_p2p_code_comes_from_a_matching_column(rng):
     db_labels, code_matrix = _tiny_retrieval_setup()
     target = np.array([1.0, 0.0])
     for _ in range(20):
-        code = p2p_target_code(target, db_labels, code_matrix, rng)
+        code = p2p_codes([target], db_labels, code_matrix, rng)[0]
         matches = [np.array_equal(code, code_matrix[:, j]) for j in range(3)]
         assert any(matches)
 
@@ -97,7 +97,7 @@ def test_p2p_singleton_match_is_deterministic(rng):
     db_labels, code_matrix = _tiny_retrieval_setup()
     target = np.array([0.0, 1.0])
     db_labels[4] = [1.0, 0.0]  # leave index 3 as the only match
-    code = p2p_target_code(target, db_labels, code_matrix, rng)
+    code = p2p_codes([target], db_labels, code_matrix, rng)[0]
     assert np.array_equal(code, code_matrix[:, 3])
 
 
@@ -112,7 +112,7 @@ def test_p2p_draw_is_uniform_over_matches():
     draws = 10_000
     counts = np.zeros(3)
     for _ in range(draws):
-        code = p2p_target_code(target, db_labels, code_matrix, rng)
+        code = p2p_codes([target], db_labels, code_matrix, rng)[0]
         counts[int(np.sum(code < 0.0))] += 1.0
     expected = draws / 3.0
     sigma = np.sqrt(draws * (1.0 / 3.0) * (2.0 / 3.0))
@@ -122,7 +122,7 @@ def test_p2p_draw_is_uniform_over_matches():
 def test_p2p_without_matching_item_raises(rng):
     db_labels, code_matrix = _tiny_retrieval_setup()
     with pytest.raises(TargetUnsatisfiableError):
-        p2p_target_code(np.array([0.0, 0.0]), db_labels, code_matrix, rng)
+        p2p_codes([[0.0, 0.0]], db_labels, code_matrix, rng)
 
 
 def test_anchor_for_label_covers_all_matches_when_set_is_larger(rng):
@@ -329,6 +329,15 @@ def _spy_on_attack(monkeypatch):
     return calls
 
 
+def _sequential_p2p_codes(targets, db_labels, code_matrix, rng):
+    """The oracle for ``p2p_codes``: each row's matches looked up and drawn from on its own."""
+    codes = []
+    for target in targets:
+        matches = np.flatnonzero(np.asarray(db_labels) @ target > 0.0)
+        codes.append(code_matrix[:, matches[rng.integers(0, matches.size)]])
+    return np.stack(codes)
+
+
 def _code_draw_setup():
     db_labels = np.eye(3)[np.arange(30) % 3]
     code_matrix = np.where(np.random.default_rng(4).random((6, 30)) < 0.5, 1.0, -1.0)
@@ -340,12 +349,12 @@ def _code_draw_setup():
 def test_p2p_draws_codes_like_sequential_calls(monkeypatch):
     db_labels, code_matrix, targets, images = _code_draw_setup()
     sequential = np.random.default_rng(31)
-    expected = [p2p_target_code(t, db_labels, code_matrix, sequential) for t in targets]
+    expected = _sequential_p2p_codes(targets, db_labels, code_matrix, sequential)
     calls = _spy_on_attack(monkeypatch)
     rng = np.random.default_rng(31)
     config = ExperimentConfig(epsilon=0.1, step_size=0.05, iterations=2)
     perturbed = p2p_attack(_small_model(), images, targets, db_labels, code_matrix, config, rng)
-    assert len(calls) == 1 and np.array_equal(calls[0], np.stack(expected))
+    assert len(calls) == 1 and np.array_equal(calls[0], expected)
     assert rng.random() == sequential.random()
     assert perturbed.shape == images.shape
 
@@ -390,8 +399,7 @@ def test_block_target_codes_match_the_per_row_draws(setup, set_size):
     """Looking the matches up once per distinct label leaves every draw and the rng as is."""
     db_labels, targets, code_matrix, seed = setup
     sequential = np.random.default_rng(seed)
-    expected = np.stack([p2p_target_code(t, db_labels, code_matrix, sequential)
-                         for t in targets])
+    expected = _sequential_p2p_codes(targets, db_labels, code_matrix, sequential)
     rng = np.random.default_rng(seed)
     with pytest.MonkeyPatch.context() as patch:
         calls = []

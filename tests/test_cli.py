@@ -1,7 +1,10 @@
 """Command line interface behavior and exit code tests."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,11 +51,13 @@ def test_config_problems_exit_one(tmp_path, capsys):
     assert _run(["gen-data"], tmp_path,
                 config=str(tmp_path / "absent.cfg")) == 1
     bad = tmp_path / "bad.cfg"
-    bad.write_text("classes = 1\n")
-    assert _run(["gen-data"], tmp_path, config=str(bad)) == 1
-    bad.write_text("not_a_key = 3\n")
-    assert _run(["gen-data"], tmp_path, config=str(bad)) == 1
-    assert "error" in capsys.readouterr().err
+    for line in ("classes = 1", "not_a_key = 3", "train_size = 1",
+                 "discriminator_hidden_widths = 64,0",
+                 "classes = 1000000000000000000000000000000"):
+        bad.write_text(line + "\n")
+        assert _run(["gen-data"], tmp_path, config=str(bad)) == 1, line
+        assert "error" in capsys.readouterr().err, line
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("line", ["hash_learning_rate = nan", "epsilon = nan",
@@ -87,6 +92,11 @@ def test_stage_failure_exits_two(tmp_path, capsys):
     assert _run(["train-hash"], tmp_path, config=config) == 2
     err = capsys.readouterr().err
     assert "train_hash failed" in err and "gen-data" in err
+    assert _run(["gen-data"], tmp_path, config=config) == 0
+    capsys.readouterr()
+    assert _run(["baseline", "p2p"], tmp_path, config=config) == 2
+    assert "missing hash_model.json; run train-hash first" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "adversarial_p2p.npz").exists()
 
 
 def test_transfer_eval_before_attack_names_the_attack_command(tmp_path, capsys):
@@ -96,6 +106,30 @@ def test_transfer_eval_before_attack_names_the_attack_command(tmp_path, capsys):
     assert _run(["transfer-eval"], tmp_path, config=config) == 2
     assert "missing adversarial_prosgan.npz; run attack first" in capsys.readouterr().err
     assert not (tmp_path / "run" / "transfer_model.json").exists()
+
+
+def test_the_command_line_process_exits_with_the_status_main_returns(tmp_path):
+    # the other tests read main's return value in-process; only a child process
+    # shows that `python -m hashattack.cli` hands it to the shell as its exit status
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    tiny = _config_file(tmp_path)
+    one_image = tmp_path / "one_image.cfg"
+    one_image.write_text("train_size = 1\n")
+
+    def run(command, config, out):
+        return subprocess.run([sys.executable, "-m", "hashattack.cli", command, "--seed", "1",
+                               "--out", str(out), "--config", str(config)],
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    assert run("gen-data", tiny, tmp_path / "data").returncode == 0
+    assert run("gen-data", one_image, tmp_path / "refused").returncode == 1
+    (tmp_path / "empty").mkdir()
+    missing = run("eval", tiny, tmp_path / "empty")
+    assert missing.returncode == 2 and "run gen-data first" in missing.stderr, missing.stderr
+    # a failed stage raises before it writes, so it leaves no *.partial marker
+    assert not list(tmp_path.rglob("*.partial"))
 
 
 @pytest.mark.parametrize("name", list(experiment.ARTIFACTS),

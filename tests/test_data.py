@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from hashattack.data import (
     save_bundle,
     unique_labels,
 )
-from hashattack.errors import DimensionError, InputError
+from hashattack.errors import CheckpointCorruptError, DimensionError, InputError
 
 
 def small_config(**overrides):
@@ -101,6 +103,17 @@ def test_unique_labels_deduplicates():
     assert {tuple(row) for row in uniq} == {(1, 0), (0, 1), (1, 1)}
     with pytest.raises(InputError):
         unique_labels(np.zeros((0, 3)))
+    with pytest.raises(DimensionError):
+        unique_labels([1.0, 0.0, 1.0])
+
+
+def test_an_image_spec_of_two_axes_is_corrupt(tmp_path):
+    bundle = gen_synthetic_dataset(small_config(), 13)
+    path = tmp_path / "bundle.npz"
+    # 4 x 4 is still the 16 pixels of each image row, so only the spec check refuses it
+    save_bundle(dataclasses.replace(bundle, image_spec=(4, 4)), path)
+    with pytest.raises(CheckpointCorruptError, match="bundle.npz: bad image spec"):
+        load_bundle(path)
 
 
 def test_bundle_save_load_round_trip(tmp_path):

@@ -419,6 +419,10 @@ def test_write_csv_writes_the_per_cell_bytes(rows):
         assert fast.read_bytes() == slow.read_bytes()
 
 
+def _one_column_wider(array):
+    return np.hstack([array, array[:, :1]])
+
+
 # each id starts with the array the refusal must name
 _MALFORMED_SPLITS = {
     "query_images-empty": lambda b: {"query_images": b.query_images[:0],
@@ -435,6 +439,9 @@ _MALFORMED_SPLITS = {
     "train_labels-words": lambda b: {"train_labels": np.where(b.train_labels > 0, "yes", "no")},
     "query_labels-numeric-text": lambda b: {"query_labels": b.query_labels.astype(str)},
     "database_images-object": lambda b: {"database_images": b.database_images.astype(object)},
+    "query_labels-wide": lambda b: {"query_labels": _one_column_wider(b.query_labels)},
+    "database_labels-wide": lambda b: {"database_labels": _one_column_wider(b.database_labels)},
+    "query_images-wide": lambda b: {"query_images": _one_column_wider(b.query_images)},
 }
 
 
@@ -446,7 +453,7 @@ def test_a_malformed_split_is_refused_at_load(case, tiny_config, tmp_path):
     save_bundle(dataclasses.replace(bundle, **_MALFORMED_SPLITS[case](bundle)),
                 tmp_path / "dataset.npz")
     array = case.split("-")[0]
-    for stage in ("attack", "noise", "p2p", "eval"):
+    for stage in ("train_hash", "attack", "noise", "p2p", "eval"):
         with pytest.raises(CheckpointCorruptError, match=f"dataset.npz: {array} "):
             experiment.execute_stage(stage, tiny_config, 2, tmp_path)
     assert not list(tmp_path.glob("adversarial_*")) and not (tmp_path / "report.json").exists()

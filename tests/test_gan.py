@@ -478,6 +478,27 @@ def test_training_refuses_non_finite_weights_left_by_the_last_batch(monkeypatch)
         train_attack_gan(images, labels, hash_model, config, 5)
     assert caught.value.epoch == 0
 
+
+def test_training_stops_at_the_batch_whose_objective_is_not_finite(monkeypatch):
+    # six images in batches of three: the discriminator's step closes batch 0
+    # with NaN weights, so batch 1's first objective is NaN
+    config, hash_model, images, labels, *_ = _mini_setup()
+    steps = []
+
+    class PoisonedAdam(gan.Adam):
+        def step(self, grads):
+            super().step(grads)
+            steps.append(self)
+            if len(steps) == 3:
+                for param in self.params:
+                    param.values[...] = np.nan
+
+    monkeypatch.setattr(gan, "Adam", PoisonedAdam)
+    with pytest.raises(TrainingDivergedError, match="epoch 0, batch 1$") as caught:
+        train_attack_gan(images, labels, hash_model, config, 5)
+    assert caught.value.epoch == 0 and len(steps) == 3
+
+
 def test_targeted_examples_shapes_and_bounds():
     config, hash_model, images, labels, label_set, code_matrix = _mini_setup()
     stack, _ = train_attack_gan(images, labels, hash_model, config, 3)

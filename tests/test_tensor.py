@@ -193,6 +193,16 @@ def test_nodes_after_root_are_ignored():
     assert np.array_equal(grads.wrt(x), [4.0])
 
 
+def test_watching_an_op_output_keeps_its_history():
+    tape = T.Tape()
+    x = tape.watch(T.Tensor([1.0, 2.0]))
+    y = T.square(x)
+    index = y.index
+    assert tape.watch(y) is y and y.index == index
+    grads = T.backward(tape, T.total(y))
+    assert np.array_equal(grads.wrt(x), [2.0, 4.0])
+
+
 def test_rewatching_across_fresh_tapes():
     p = T.Tensor([1.0, -2.0])
     for expected in ([2.0, -4.0], [2.0, -4.0]):
