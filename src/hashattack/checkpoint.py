@@ -127,7 +127,8 @@ def load_checkpoint(path, kind, config_hash):
             seed=payload["seed"],
             config_hash=payload["config_hash"],
         )
-    except (AttributeError, KeyError, TypeError, ValueError) as err:
+    # OverflowError: a shape entry too large for the int64 element count
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as err:
         raise CheckpointCorruptError(f"malformed checkpoint {path}: {err}") from err
 
 

@@ -112,7 +112,8 @@ BUNDLE_KEYS = tuple(spec.name for spec in fields(DatasetBundle))
 
 def load_npz(path, keys):
     """The named arrays of an npz archive, in ``keys`` order; unreadable is corrupt, and
-    the error names the member that would not read (such as a pickled object array)."""
+    so is a member that is not an int or float array of finite values.  The error names
+    the member (a pickled object array is one that would not read)."""
     name = Path(path).name
     failed = f"unreadable {name}"
     try:
@@ -132,8 +133,10 @@ def load_npz(path, keys):
     except (OSError, EOFError, ValueError, KeyError, RuntimeError,
             zipfile.BadZipFile, zlib.error) as err:
         raise CheckpointCorruptError(f"{failed}: {err}") from err
-    if not all(isinstance(array, np.ndarray) for array in arrays):
-        raise CheckpointCorruptError(f"{name} holds a member that is not an array")
+    for key, array in zip(keys, arrays):
+        if not (isinstance(array, np.ndarray) and array.dtype.kind in "iuf"
+                and np.isfinite(array).all()):
+            raise CheckpointCorruptError(f"{name}: {key} is not an array of finite numbers")
     return tuple(arrays)
 
 
@@ -144,8 +147,8 @@ def save_bundle(bundle, path):
 
 
 def load_bundle(path):
-    """The bundle at ``path``; each split must hold numeric 2-D images with rows of
-    ``prod(image_spec)`` pixels and one numeric label row each, as wide as ``train_labels``."""
+    """The bundle at ``path``; each split must hold 2-D images with rows of
+    ``prod(image_spec)`` pixels and one label row each, as wide as ``train_labels``."""
     name = Path(path).name
     spec, *arrays = load_npz(path, BUNDLE_KEYS)
     if spec.shape != (3,) or spec.dtype.kind not in "iu":
@@ -154,10 +157,6 @@ def load_bundle(path):
     pixels = int(np.prod(bundle.image_spec))
     for split in ("train", "database", "query"):
         images, labels = getattr(bundle, f"{split}_images"), getattr(bundle, f"{split}_labels")
-        for kind, array in (("images", images), ("labels", labels)):
-            if array.dtype.kind not in "iuf":
-                raise CheckpointCorruptError(f"{name}: {split}_{kind} of dtype {array.dtype} "
-                                             "is not numeric")
         if images.ndim != 2 or images.shape[0] == 0:
             raise CheckpointCorruptError(f"{name}: {split}_images of shape {images.shape} "
                                          "is not a 2-D block with rows")

@@ -91,7 +91,7 @@ def _run_module(load, path, config, seed):
 
 def _code_matrix(path):
     (matrix,) = load_npz(path, ("code_matrix",))
-    if matrix.ndim != 2 or matrix.dtype.kind not in "iuf" or np.any(np.abs(matrix) != 1):
+    if matrix.ndim != 2 or np.any(np.abs(matrix) != 1):
         raise CheckpointCorruptError(f"{path.name}: code_matrix is not a 2-D array of +/-1")
     return matrix
 
@@ -129,12 +129,14 @@ def _hash_and_codes(bundle, config, seed, out):
 
 
 def _load_examples(name, bundle, targets, config, seed, out):
-    """A method's perturbed block, refused unless it attacks this run's queries and targets."""
+    """A method's [0, 1] perturbed block; it must attack this run's queries toward its targets."""
     originals, perturbed, stored_targets = read(name, config, seed, out)
     if not (np.array_equal(originals, bundle.query_images)
             and np.array_equal(stored_targets, targets) and perturbed.shape == originals.shape):
         raise CheckpointMismatchError(
             f"{name} does not attack this run's queries toward its targets")
+    if perturbed.min() < 0.0 or perturbed.max() > 1.0:
+        raise CheckpointCorruptError(f"{name}: perturbed holds pixels outside [0, 1]")
     return perturbed
 
 

@@ -6,7 +6,6 @@ from . import tensor as T
 from .errors import DimensionError, InputError
 
 _ACTIVATIONS = {
-    "linear": lambda t: t,
     "relu": T.relu,
     "tanh": T.tanh,
     "sigmoid": T.sigmoid,
@@ -73,8 +72,7 @@ class DenseLayer(Module):
         """Initialize weights for the given activation; biases start at zero.
 
         relu layers draw from a normal with variance 2/fan_in; saturating
-        and linear layers draw uniformly with the symmetric limit
-        sqrt(6 / (fan_in + fan_out)).
+        layers draw uniformly with the symmetric limit sqrt(6 / (fan_in + fan_out)).
         """
         if fan_in <= 0 or fan_out <= 0:
             raise DimensionError(f"layer widths must be positive, got {fan_in} and {fan_out}")

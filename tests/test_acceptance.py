@@ -31,12 +31,7 @@ from hashattack.config import ExperimentConfig
 from hashattack.data import load_bundle
 from hashattack.errors import CheckpointError
 from hashattack.evaluation import evaluate_queries, mean_perceptibility
-from hashattack.experiment import (
-    STAGE_ORDER,
-    eval_target_labels,
-    execute_stage,
-    stage_rng,
-)
+from hashattack.experiment import STAGE_ORDER, eval_target_labels, run_experiment, stage_rng
 from hashattack.gan import (
     loss_adversarial,
     loss_discriminator,
@@ -74,15 +69,10 @@ def pipeline(tmp_path_factory):
     """One full run of every stage at the pinned seed and stock settings."""
     out = Path(tmp_path_factory.mktemp("acceptance"))
     config = ExperimentConfig()
-    durations = {}
-    for stage in STAGE_ORDER:
-        started = time.perf_counter()
-        execute_stage(stage, config, SEED, out)
-        durations[stage] = time.perf_counter() - started
+    run_experiment(config, SEED, out)
     return SimpleNamespace(
         out=out,
         config=config,
-        durations=durations,
         report=json.loads((out / "report.json").read_text()),
         transfer=json.loads((out / "transfer_report.json").read_text()),
         timings=json.loads((out / "timings.json").read_text()),
@@ -325,7 +315,7 @@ def test_criterion_04_average_precision_oracle(rng):
 
 def test_criterion_05_retrieval_quality(pipeline):
     score = pipeline.report["methods"]["Original"]["map"]
-    elapsed = pipeline.durations["train_hash"]
+    elapsed = pipeline.timings["train_hash_seconds"]
     verdict(5, "retrieval quality", score >= 0.85 and elapsed < 300.0,
             f"MAP {score:.3f} in {elapsed:.0f}s")
 
@@ -336,7 +326,7 @@ def test_criterion_06_attack_efficacy(pipeline):
     generator = methods["ProS-GAN"]["t_map"]
     anchor = methods["DHTA"]["t_map"]
     point = methods["P2P"]["t_map"]
-    total = sum(pipeline.durations.values())
+    total = sum(pipeline.timings[f"{stage}_seconds"] for stage in STAGE_ORDER)
     ok = (generator >= original + 0.15 and anchor >= original + 0.10
           and generator >= point and total < 1200.0)
     verdict(6, "attack efficacy", ok,

@@ -177,6 +177,21 @@ def test_shape_payload_mismatch_is_corrupt(tmp_path, rng):
         load_checkpoint(target, "x", "cfg")
 
 
+# no int64 element count holds these, so numpy raises OverflowError on each
+@pytest.mark.parametrize("shape", [[2**64], [2**70], [1, -(2**63) - 1]],
+                         ids=["2**64", "2**70", "below-int64"])
+def test_a_shape_entry_beyond_int64_is_corrupt(tmp_path, rng, shape):
+    target = tmp_path / "model.json"
+    _save_toy(target, {"w": rng.random(4)})
+
+    def widen(payload):
+        payload["tensors"]["w"]["shape"] = shape
+
+    _rewrite(target, widen)
+    with pytest.raises(CheckpointCorruptError, match="malformed"):
+        load_checkpoint(target, "x", "cfg")
+
+
 def test_tensors_list_with_valid_checksum_is_corrupt(tmp_path, rng):
     target = tmp_path / "model.json"
     _save_toy(target, {"w": rng.random(4)})

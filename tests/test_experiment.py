@@ -347,6 +347,53 @@ def test_fuzzed_npz_loads_or_raises_checkpoint_error(kind, data):
             pass
 
 
+def _planted(value):
+    """Damage that copies an array as floats and sets its first element to ``value``."""
+    def plant(array):
+        copy = array.astype(np.float64)
+        copy.flat[0] = value
+        return copy
+    return plant
+
+
+# each id names what the one replaced member holds
+_NOT_FINITE_NUMBERS = {
+    "str": lambda array: array.astype(str),
+    "bool": lambda array: array.astype(bool),
+    "complex": lambda array: array.astype(complex),
+    "nan": _planted(np.nan),
+    "inf": _planted(-np.inf),
+}
+
+
+@pytest.mark.parametrize("damage", list(_NOT_FINITE_NUMBERS))
+@pytest.mark.parametrize("kind", sorted(_NPZ_LOADERS))
+def test_a_member_that_is_not_finite_numbers_is_corrupt(kind, damage, tmp_path):
+    name, valid = _NPZ_LOADERS[kind]
+    with np.load(io.BytesIO(valid)) as blob:
+        arrays = {key: blob[key] for key in blob.files}
+    for key, array in arrays.items():
+        damaged = {**arrays, key: _NOT_FINITE_NUMBERS[damage](array)}
+        (tmp_path / name).write_bytes(_npz_bytes(**damaged))
+        with pytest.raises(CheckpointCorruptError, match=f"{name}: {key} "):
+            _read(name, tmp_path)
+
+
+@pytest.mark.parametrize("damage", [_planted(np.nan), lambda perturbed: perturbed * 5.0],
+                         ids=["nan", "outside-unit-range"])
+def test_eval_refuses_perturbed_pixels_that_are_not_in_the_unit_range(damage, tiny_config,
+                                                                      tmp_path):
+    for name in ("gen_data", "train_hash", "encode_db", "noise"):
+        experiment.execute_stage(name, tiny_config, 2, tmp_path)
+    path = tmp_path / "adversarial_noise.npz"
+    with np.load(path) as blob:
+        arrays = {key: blob[key] for key in blob.files}
+    np.savez(path, **{**arrays, "perturbed": damage(arrays["perturbed"])})
+    with pytest.raises(CheckpointCorruptError, match="adversarial_noise.npz: perturbed "):
+        experiment.execute_stage("eval", tiny_config, 2, tmp_path)
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_damaged_codes_are_corrupt(tmp_path):
     path = tmp_path / "codes.npz"
     bare = io.BytesIO()

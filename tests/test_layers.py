@@ -12,7 +12,7 @@ from conftest import assert_grad_close, finite_difference
 
 
 def test_layer_forward_is_affine_plus_activation():
-    layer = DenseLayer(np.array([[1.0, 0.0], [0.0, 2.0]]), np.array([0.5, -0.5]), "linear")
+    layer = DenseLayer(np.array([[1.0, 0.0], [0.0, 2.0]]), np.array([0.5, -0.5]), "relu")
     out = layer.forward(T.Tensor([[1.0, 1.0]]))
     assert np.array_equal(out.values, [[1.5, 1.5]])
 
@@ -21,7 +21,7 @@ def test_layer_guards():
     with pytest.raises(InputError):
         DenseLayer(np.zeros((2, 2)), np.zeros(2), "softmax")
     with pytest.raises(DimensionError):
-        DenseLayer(np.zeros((2, 2)), np.zeros(3), "linear")
+        DenseLayer(np.zeros((2, 2)), np.zeros(3), "relu")
     with pytest.raises(DimensionError):
         DenseLayer.create(np.random.default_rng(0), 0, 3, "relu")
 
