@@ -73,18 +73,35 @@ def iterative_gradient_attack(model, images, target_codes, config):
     gradient sign, then projects onto the epsilon ball around the
     original images and the [0,1] pixel box.  ``config`` gives the
     ``epsilon``, ``step_size`` and ``iterations`` budget.
+
+    One iteration is a fixed function of the block, and the block moves
+    on a finite lattice of clipped steps, so it soon repeats.  The
+    starting block, then the block of each power-of-two iteration, is
+    kept (Brent's cycle detection); once a later block equals the kept
+    one bit for bit, the block repeats with that period, and whole
+    periods of the remaining budget are skipped.  The result is the block
+    of the full budget, byte for byte, and only the iterations before the
+    repeat and the remainder after the skip run.
     """
     images = np.asarray(images, dtype=np.float64)
     target_codes = np.asarray(target_codes, dtype=np.float64)
     low = np.clip(images - config.epsilon, 0.0, 1.0)
     high = np.clip(images + config.epsilon, 0.0, 1.0)
     perturbed = images.copy()
-    for _ in range(config.iterations):
+    kept, kept_at, step = perturbed, 0, 0
+    while step < config.iterations:
         with T.Tape() as tape:
             current = tape.watch(T.Tensor(perturbed))
             objective = loss_hamming(target_codes, model.forward(current))
             gradient = T.backward(tape, objective).wrt(current)
         perturbed = np.clip(perturbed - config.step_size * np.sign(gradient), low, high)
+        step += 1
+        # bits, not values: -0.0 == 0.0, yet the two can step to different bytes
+        if np.array_equal(perturbed.view(np.uint64), kept.view(np.uint64)):
+            period = step - kept_at
+            step += (config.iterations - step) // period * period
+        elif step & (step - 1) == 0:
+            kept, kept_at = perturbed, step
     return perturbed
 
 

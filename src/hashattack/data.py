@@ -148,7 +148,8 @@ def save_bundle(bundle, path):
 
 def load_bundle(path):
     """The bundle at ``path``; each split must hold 2-D images with rows of
-    ``prod(image_spec)`` pixels and one label row each, as wide as ``train_labels``."""
+    ``prod(image_spec)`` pixels in [0, 1], and one 0/1 label row with at least one
+    class per image, as wide as ``train_labels``."""
     name = Path(path).name
     spec, *arrays = load_npz(path, BUNDLE_KEYS)
     if spec.shape != (3,) or spec.dtype.kind not in "iu":
@@ -169,4 +170,12 @@ def load_bundle(path):
         if labels.shape[1] != bundle.train_labels.shape[1]:
             raise CheckpointCorruptError(f"{name}: {split}_labels of shape {labels.shape} "
                                          "is not as wide as train_labels")
+        # two reductions and no image-sized temporary; the labels are a small block
+        if not (images.min() >= 0.0 and images.max() <= 1.0):
+            raise CheckpointCorruptError(f"{name}: {split}_images has pixels outside [0, 1]")
+        hot = labels == 1.0
+        if not (hot | (labels == 0.0)).all():
+            raise CheckpointCorruptError(f"{name}: {split}_labels holds a value other than 0 and 1")
+        if not hot.any(axis=1).all():
+            raise CheckpointCorruptError(f"{name}: {split}_labels has a row with no class")
     return bundle

@@ -1,5 +1,6 @@
 """Target-code selection and bounded signed-gradient attack tests."""
 
+import dataclasses
 import itertools
 import json
 import time
@@ -298,6 +299,115 @@ def test_block_attack_equals_one_row_attacks():
         assert np.array_equal(block[row:row + 1], alone)
     # the attack moved the block, so the equality above is not vacuous
     assert not np.array_equal(block, images)
+
+
+def _plain_descent(model, images, target_codes, config):
+    """The oracle for ``iterative_gradient_attack``: every one of ``config.iterations`` steps."""
+    low = np.clip(images - config.epsilon, 0.0, 1.0)
+    high = np.clip(images + config.epsilon, 0.0, 1.0)
+    perturbed = images.copy()
+    for _ in range(config.iterations):
+        with T.Tape() as tape:
+            current = tape.watch(T.Tensor(perturbed))
+            objective = loss_hamming(target_codes, model.forward(current))
+            gradient = T.backward(tape, objective).wrt(current)
+        perturbed = np.clip(perturbed - config.step_size * np.sign(gradient), low, high)
+    return perturbed
+
+
+def _count_tapes(monkeypatch):
+    """A list that grows by one for each ``tensor.backward`` call."""
+    calls = []
+    real = T.backward
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(T, "backward", counted)
+    return calls
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 3), pixels=st.integers(2, 8),
+       bits=st.integers(1, 6), hidden=st.sampled_from([(), (4,)]),
+       iterations=st.integers(1, 64), ratio=st.sampled_from([1, 2, 4, 8]),
+       epsilon=st.sampled_from([0.0, 2.0 / 255.0, 0.05, 0.3]))
+def test_the_period_skip_returns_the_full_budget_bytes(seed, rows, pixels, bits, hidden,
+                                                        iterations, ratio, epsilon):
+    """Skipping whole periods of a repeating block leaves the result of every step, bit for bit."""
+    rng = np.random.default_rng(seed)
+    model = HashModel.create(rng, pixels, bits, hidden_widths=hidden)
+    images, targets = rng.random((rows, pixels)), _codes(rng, rows, bits)
+    step_size = epsilon / ratio if epsilon > 0.0 else 0.05
+    config = ExperimentConfig(epsilon=epsilon, step_size=step_size, iterations=iterations)
+    expected = _plain_descent(model, images, targets, config)
+    assert iterative_gradient_attack(model, images, targets, config).tobytes() == expected.tobytes()
+
+
+class _Circulating:
+    """A one-bit code of two pixels whose signed descent from (0.5, 0.5), with step and
+    epsilon 1/8, walks the eight border points of the 3 x 3 pixel lattice in a ring.
+
+    Small random models only ever settle into periods 1 and 2.  In units ``u, v`` of
+    one step from the centre, the loss is ``u f(v) - u^2/2 - v^2/4 + (u + v)/10`` with
+    ``f(v) = -v + 10 v^3 - 6 v^5``.  On the lattice ``f(v)`` is -3, 0 or 3 and
+    ``f'(v)`` is -1, so the u-gradient takes the sign of v and the v-gradient that
+    of -u: the signed steps turn around the centre.
+    """
+
+    def forward(self, x):
+        u, v = (T.scale(T.shift(T.matmul(x, T.Tensor(column)), -0.5), 8.0)
+                for column in np.eye(2)[:, :, None])
+        v2 = T.square(v)
+        v3 = T.mul(v2, v)
+        f = T.add(T.add(T.scale(v, -1.0), T.scale(v3, 10.0)), T.scale(T.mul(v3, v2), -6.0))
+        loss = T.add(T.sub(T.mul(u, f), T.add(T.scale(T.square(u), 0.5), T.scale(v2, 0.25))),
+                     T.scale(T.add(u, v), 0.1))
+        return T.scale(loss, -1.0)  # the code; against target +1 its loss is 1 + loss
+
+
+@settings(deadline=None, max_examples=30)
+@given(iterations=st.integers(1, 64))
+def test_a_period_of_eight_is_skipped_exactly(iterations):
+    images, targets = np.full((1, 2), 0.5), np.ones((1, 1))
+    config = ExperimentConfig(epsilon=0.125, step_size=0.125, iterations=iterations)
+    ring = _plain_descent(_Circulating(), images, targets,
+                          dataclasses.replace(config, iterations=9))
+    assert ring.tobytes() == (images - 0.125).tobytes()  # step 9 is step 1 again
+    expected = _plain_descent(_Circulating(), images, targets, config)
+    with pytest.MonkeyPatch.context() as patch:
+        tapes = _count_tapes(patch)
+        result = iterative_gradient_attack(_Circulating(), images, targets, config)
+    assert result.tobytes() == expected.tobytes()
+    # the kept block of step 8 comes back at step 16, then only the remainder runs
+    assert len(tapes) == (iterations if iterations < 16 else 16 + (iterations - 16) % 8)
+
+
+def test_a_block_that_never_repeats_runs_every_step(monkeypatch):
+    # one code bit and no hidden layer: each pixel's gradient sign is fixed, so every
+    # pixel walks one way through the eight steps from the centre to the ball's edge
+    rng = np.random.default_rng(3)
+    model = HashModel.create(rng, 6, 1, hidden_widths=())
+    images, targets = np.full((2, 6), 0.5), _codes(rng, 2, bits=1)
+    config = ExperimentConfig(epsilon=0.08, step_size=0.01, iterations=8)
+    expected = _plain_descent(model, images, targets, config)
+    tapes = _count_tapes(monkeypatch)
+    result = iterative_gradient_attack(model, images, targets, config)
+    assert len(tapes) == 8 and result.tobytes() == expected.tobytes()
+    assert np.allclose(np.abs(result - images), 0.08)
+
+
+def test_the_period_skip_runs_fewer_tapes_than_the_budget(monkeypatch):
+    model, bundle = _trained_toy_model()
+    images = bundle.query_images
+    targets = _codes(np.random.default_rng(6), images.shape[0])
+    config = ExperimentConfig(iterations=200)
+    expected = _plain_descent(model, images, targets, config)
+    tapes = _count_tapes(monkeypatch)
+    result = iterative_gradient_attack(model, images, targets, config)
+    assert len(tapes) < 200
+    assert result.tobytes() == expected.tobytes()
 
 
 def test_p2p_and_anchor_agree_given_the_same_target_code():

@@ -470,6 +470,12 @@ def _one_column_wider(array):
     return np.hstack([array, array[:, :1]])
 
 
+def _first_entry_set(array, value):
+    changed = array.copy()
+    changed[0, 0] = value
+    return changed
+
+
 # each id starts with the array the refusal must name
 _MALFORMED_SPLITS = {
     "query_images-empty": lambda b: {"query_images": b.query_images[:0],
@@ -489,6 +495,14 @@ _MALFORMED_SPLITS = {
     "query_labels-wide": lambda b: {"query_labels": _one_column_wider(b.query_labels)},
     "database_labels-wide": lambda b: {"database_labels": _one_column_wider(b.database_labels)},
     "query_images-wide": lambda b: {"query_images": _one_column_wider(b.query_images)},
+    "train_images-above-one": lambda b: {"train_images": _first_entry_set(b.train_images,
+                                                                          1.0 + 2.0**-52)},
+    "query_images-negative": lambda b: {"query_images": _first_entry_set(b.query_images,
+                                                                         -5e-324)},
+    "database_labels-two": lambda b: {"database_labels": b.database_labels * 2.0},
+    "query_labels-half": lambda b: {"query_labels": np.where(b.query_labels > 0, 0.5, 0.0)},
+    "train_labels-no-class": lambda b: {"train_labels": np.vstack([b.train_labels[:-1],
+                                                                   0 * b.train_labels[-1:]])},
 }
 
 
