@@ -147,12 +147,12 @@ def save_bundle(bundle, path):
 
 
 def load_bundle(path):
-    """The bundle at ``path``; each split must hold 2-D images with rows of
-    ``prod(image_spec)`` pixels in [0, 1], and one 0/1 label row with at least one
-    class per image, as wide as ``train_labels``."""
+    """The bundle at ``path``; ``image_spec`` must be three integers of at least 1, and each
+    split must hold 2-D images with rows of ``prod(image_spec)`` pixels in [0, 1], and one
+    0/1 label row with at least one class per image, as wide as ``train_labels``."""
     name = Path(path).name
     spec, *arrays = load_npz(path, BUNDLE_KEYS)
-    if spec.shape != (3,) or spec.dtype.kind not in "iu":
+    if spec.shape != (3,) or spec.dtype.kind not in "iu" or (spec < 1).any():
         raise CheckpointCorruptError(f"{name}: bad image spec {spec!r}")
     bundle = DatasetBundle(tuple(int(v) for v in spec), *arrays)
     pixels = int(np.prod(bundle.image_spec))

@@ -10,6 +10,7 @@ Wall-clock numbers never enter report files; they live in
 
 import functools
 import json
+import os
 import time
 from pathlib import Path
 
@@ -56,17 +57,16 @@ def _write_csv(path, header, rows):
                           + "\n")
 
 
-def update_timings(out, **entries):
-    """Merge wall-clock entries into the run's timing sidecar."""
-    target = Path(out) / "timings.json"
-    try:
-        current = json.loads(target.read_text()) if target.is_file() else {}
-    except ValueError as err:  # bad JSON or bad UTF-8
-        raise CheckpointCorruptError(f"unreadable timings.json: {err}") from err
-    if not isinstance(current, dict):
-        raise CheckpointCorruptError("timings.json is not a JSON object")
-    current.update({key: float(value) for key, value in entries.items()})
-    _write_json(target, current)
+def _publish(out, files):
+    """Write each ``name: writer(path)`` to ``.partial.<name>`` (the suffix stays last, as
+    np.savez wants) and rename it into place: a reader finds it whole or not at all."""
+    for name, write in files.items():
+        partial = out / f".partial.{name}"
+        try:
+            write(partial)
+            os.replace(partial, out / name)
+        finally:
+            partial.unlink(missing_ok=True)
 
 
 # the stages that run as `baseline <stage>`, and each attack stage's method slug
@@ -149,13 +149,12 @@ def eval_target_labels(seed, bundle):
 
 def stage_gen_data(config, seed, out):
     bundle = gen_synthetic_dataset(config, stage_rng(seed, "data"))
-    save_bundle(bundle, Path(out) / "dataset.npz")
     return {
         "train": int(bundle.train_images.shape[0]),
         "database": int(bundle.database_images.shape[0]),
         "query": int(bundle.query_images.shape[0]),
         "pixels": int(bundle.train_images.shape[1]),
-    }
+    }, {"dataset.npz": functools.partial(save_bundle, bundle)}, {}
 
 
 def stage_train_hash(config, seed, out):
@@ -163,19 +162,20 @@ def stage_train_hash(config, seed, out):
     model, losses = train_target_model(bundle.train_images, bundle.train_labels,
                                        config.code_length, config.hash_hidden_widths,
                                        config, stage_rng(seed, "hash"))
-    save_hash_model(Path(out) / "hash_model.json", model, seed, config.config_hash(),
-                    {"final_loss": losses[-1]})
-    _write_csv(Path(out) / "hash_training.csv", "epoch,loss",
-               list(enumerate(losses)))
-    return {"epochs": len(losses), "final_loss": float(losses[-1])}
+    return {"epochs": len(losses), "final_loss": float(losses[-1])}, {
+        "hash_model.json": lambda path: save_hash_model(path, model, seed, config.config_hash(),
+                                                        {"final_loss": losses[-1]}),
+        "hash_training.csv": functools.partial(_write_csv, header="epoch,loss",
+                                               rows=list(enumerate(losses))),
+    }, {}
 
 
 def stage_encode_db(config, seed, out):
     bundle = read("dataset.npz", config, seed, out)
     model = read("hash_model.json", config, seed, out)
     matrix = encode_database(model, bundle.database_images)
-    np.savez(Path(out) / "codes.npz", code_matrix=matrix)
-    return {"items": int(matrix.shape[1]), "code_length": int(matrix.shape[0])}
+    return ({"items": int(matrix.shape[1]), "code_length": int(matrix.shape[0])},
+            {"codes.npz": functools.partial(np.savez, code_matrix=matrix)}, {})
 
 
 def stage_train_attack(config, seed, out):
@@ -183,16 +183,16 @@ def stage_train_attack(config, seed, out):
     model = read("hash_model.json", config, seed, out)
     stack, history = train_attack_gan(bundle.train_images, bundle.train_labels, model,
                                       config, stage_rng(seed, "attack"))
-    save_attack_stack(Path(out) / "attack_stack.json", stack, seed, config.config_hash(),
-                      {"final_losses": list(history[-1][1:])})
-    _write_csv(Path(out) / "attack_training.csv",
-               "epoch,prototype_loss,generator_loss,discriminator_loss", history)
-    return {"epochs": len(history),
-            "final_generator_loss": float(history[-1][2])}
+    return {"epochs": len(history), "final_generator_loss": float(history[-1][2])}, {
+        "attack_stack.json": lambda path: save_attack_stack(
+            path, stack, seed, config.config_hash(), {"final_losses": list(history[-1][1:])}),
+        "attack_training.csv": functools.partial(_write_csv, rows=history, header=(
+            "epoch,prototype_loss,generator_loss,discriminator_loss")),
+    }, {}
 
 
 def stage_attack(config, seed, out, method):
-    """Craft one method's perturbed query block; save it and time its making.
+    """Craft one method's perturbed query block and time its making.
 
     Every method attacks the query split toward the run's shared targets.
     ``generation_<method>_seconds`` is the per-image latency: the time of
@@ -219,15 +219,13 @@ def stage_attack(config, seed, out, method):
     started = time.perf_counter()
     perturbed = generate()
     elapsed = time.perf_counter() - started
-    np.savez(Path(out) / f"adversarial_{method}.npz", originals=queries,
-             perturbed=perturbed, target_labels=targets)
     count = queries.shape[0]
     latency = elapsed / count if method == "prosgan" else elapsed
-    update_timings(out, **{
+    files = {f"adversarial_{method}.npz": functools.partial(
+        np.savez, originals=queries, perturbed=perturbed, target_labels=targets)}
+    return {"count": count, "mean_generation_seconds": latency}, files, {
         f"generation_{method}_seconds": latency,
-        f"throughput_{method}_images_per_second": count / elapsed,
-    })
-    return {"count": count, "mean_generation_seconds": latency}
+        f"throughput_{method}_images_per_second": count / elapsed}
 
 
 def _method_row(report, true_report=None, perceptibility=None):
@@ -241,7 +239,7 @@ def _method_row(report, true_report=None, perceptibility=None):
 
 
 def stage_eval(config, seed, out):
-    """Score every available query block and write the run report.
+    """Score every available query block into the run report and its curves.
 
     Each block's distinct codes are ranked once, and each distinct (code,
     label) pair is scored once, with reports identical to scoring every
@@ -249,7 +247,6 @@ def stage_eval(config, seed, out):
     and the true labels; the Original row's true-label report is the
     retrieval baseline.
     """
-    out = Path(out)
     bundle = read("dataset.npz", config, seed, out)
     model, matrix = _hash_and_codes(bundle, config, seed, out)
     db_labels = bundle.database_labels
@@ -291,17 +288,17 @@ def stage_eval(config, seed, out):
         "retrieval_map": curves["retrieval"].mean_ap,
         "methods": methods,
     }
-    _write_json(out / "report.json", report)
+    files = {"report.json": functools.partial(_write_json, payload=report)}
     for slug, row in curves.items():
-        _write_csv(out / f"pr_curve_{slug}.csv", "cutoff,precision,recall",
-                   row.pr_curve)
-        _write_csv(out / f"topn_{slug}.csv", "N,precision", row.precision_at_n)
-    return report
+        files[f"pr_curve_{slug}.csv"] = functools.partial(
+            _write_csv, header="cutoff,precision,recall", rows=row.pr_curve)
+        files[f"topn_{slug}.csv"] = functools.partial(_write_csv, header="N,precision",
+                                                      rows=row.precision_at_n)
+    return report, files, {}
 
 
 def stage_transfer_eval(config, seed, out):
     """Train a second model and score the generator's output against it."""
-    out = Path(out)
     bundle = read("dataset.npz", config, seed, out)
     targets = eval_target_labels(seed, bundle)
     perturbed = _load_examples("adversarial_prosgan.npz", bundle, targets, config, seed, out)
@@ -310,8 +307,6 @@ def stage_transfer_eval(config, seed, out):
                                          config.transfer_code_length,
                                          config.transfer_hidden_widths,
                                          config, stage_rng(seed, "transfer"))
-    save_hash_model(out / "transfer_model.json", model_b, seed, config.config_hash(),
-                    {"final_loss": losses[-1]})
     matrix_b = encode_database(model_b, bundle.database_images)
     original_t = evaluate_queries(model_b.codes(bundle.query_images), matrix_b,
                                   bundle.database_labels, targets)[0].mean_ap
@@ -324,10 +319,14 @@ def stage_transfer_eval(config, seed, out):
         "adversarial_t_map": adversarial_t,
         "transfer_gain": adversarial_t - original_t,
     }
-    _write_json(out / "transfer_report.json", report)
-    return report
+    return report, {
+        "transfer_model.json": lambda path: save_hash_model(
+            path, model_b, seed, config.config_hash(), {"final_loss": losses[-1]}),
+        "transfer_report.json": functools.partial(_write_json, payload=report),
+    }, {}
 
 
+# each stage returns (summary, {file name: writer of a path}, timing entries), writes nothing
 _STAGE_TABLE = {
     "gen_data": stage_gen_data,
     "train_hash": stage_train_hash,
@@ -343,18 +342,25 @@ STAGE_ORDER = tuple(_STAGE_TABLE)
 
 
 def execute_stage(name, config, seed, out):
-    """Run one named stage and add its wall time to ``timings.json``.
-
-    A failing stage raises its exception to the caller and records no time.
-    """
+    """Run one named stage, publish its files and merge its timings into ``timings.json``;
+    a failing stage raises its exception to the caller, publishes nothing and records no time."""
     if name not in _STAGE_TABLE:
         raise InputError(f"unknown stage {name!r}")
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    result = _STAGE_TABLE[name](config, seed, out)
-    update_timings(out, **{f"{name}_seconds": time.perf_counter() - started})
-    return result
+    summary, files, timings = _STAGE_TABLE[name](config, seed, out)
+    target = out / "timings.json"
+    try:
+        current = json.loads(target.read_text()) if target.is_file() else {}
+    except ValueError as err:  # bad JSON or bad UTF-8
+        raise CheckpointCorruptError(f"unreadable timings.json: {err}") from err
+    if not isinstance(current, dict):
+        raise CheckpointCorruptError("timings.json is not a JSON object")
+    _publish(out, files)
+    current.update(timings, **{f"{name}_seconds": time.perf_counter() - started})
+    _publish(out, {"timings.json": functools.partial(_write_json, payload=current)})
+    return summary
 
 
 def run_experiment(config, seed, out):

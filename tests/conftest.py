@@ -71,6 +71,19 @@ def canonical_digest(payload):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+@pytest.fixture(autouse=True)
+def _no_partial_file_left(request):
+    """Fail a test that leaves a temporary ``.partial.*`` file of the stage publisher
+    anywhere under its ``tmp_path``."""
+    if "tmp_path" not in request.fixturenames:
+        yield
+        return
+    tmp_path = request.getfixturevalue("tmp_path")
+    yield
+    left = sorted(str(path.relative_to(tmp_path)) for path in tmp_path.rglob(".partial.*"))
+    assert not left, f"temporary files left behind: {left}"
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -128,8 +128,8 @@ def test_the_command_line_process_exits_with_the_status_main_returns(tmp_path):
     (tmp_path / "empty").mkdir()
     missing = run("eval", tiny, tmp_path / "empty")
     assert missing.returncode == 2 and "run gen-data first" in missing.stderr, missing.stderr
-    # a failed stage raises before it writes, so it leaves no *.partial marker
-    assert not list(tmp_path.rglob("*.partial"))
+    # a failed stage publishes nothing, so it leaves no .partial.* file
+    assert not list(tmp_path.rglob(".partial.*"))
 
 
 @pytest.mark.parametrize("name", list(experiment.ARTIFACTS),

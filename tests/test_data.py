@@ -116,6 +116,17 @@ def test_an_image_spec_of_two_axes_is_corrupt(tmp_path):
         load_bundle(path)
 
 
+# the specs without a zero multiply to the 16 pixels of an image row, so only the spec
+# check can refuse them; the zero must be refused there too, not by the width check
+@pytest.mark.parametrize("spec", [(-4, -4, 1), (4, -1, -4), (-16, 1, -1), (0, 4, 4)])
+def test_an_image_spec_with_an_entry_below_one_is_corrupt(spec, tmp_path):
+    bundle = gen_synthetic_dataset(small_config(), 13)
+    path = tmp_path / "dataset.npz"
+    save_bundle(dataclasses.replace(bundle, image_spec=spec), path)
+    with pytest.raises(CheckpointCorruptError, match="dataset.npz: bad image spec"):
+        load_bundle(path)
+
+
 def test_bundle_save_load_round_trip(tmp_path):
     bundle = gen_synthetic_dataset(small_config(), 13)
     path = tmp_path / "bundle.npz"

@@ -3,6 +3,8 @@
 import dataclasses
 import io
 import json
+import os
+import shutil
 import tempfile
 import time
 import zipfile
@@ -48,7 +50,7 @@ def test_gen_data_stage_writes_bundle(tiny_config, tmp_path):
     assert result == {"train": 60, "database": 80, "query": 12, "pixels": 36}
     bundle = load_bundle(tmp_path / "dataset.npz")
     assert bundle.train_images.shape == (60, 36)
-    assert not list(tmp_path.glob("*.partial"))
+    assert not list(tmp_path.glob(".partial.*"))
     timings = json.loads((tmp_path / "timings.json").read_text())
     assert "gen_data_seconds" in timings
 
@@ -60,7 +62,7 @@ def test_missing_predecessor_fails_and_leaves_no_marker(tiny_config, tmp_path):
     assert not list(tmp_path.iterdir())
     experiment.execute_stage("gen_data", tiny_config, 5, tmp_path)
     experiment.execute_stage("train_hash", tiny_config, 5, tmp_path)
-    assert not list(tmp_path.glob("*.partial"))
+    assert not list(tmp_path.glob(".partial.*"))
 
 
 def test_unknown_stage_is_rejected(tiny_config, tmp_path):
@@ -290,7 +292,8 @@ def test_damaged_timings_are_corrupt(tiny_config, tmp_path, damage):
     (tmp_path / "timings.json").write_text(damage)
     with pytest.raises(CheckpointCorruptError, match="timings.json"):
         experiment.execute_stage("gen_data", tiny_config, 5, tmp_path)
-    assert not list(tmp_path.glob("*.partial"))
+    assert not list(tmp_path.glob(".partial.*"))
+    assert (tmp_path / "timings.json").read_text() == damage
 
 
 def _npz_bytes(**arrays):
@@ -528,3 +531,97 @@ def test_each_table_file_first_appears_in_the_stage_that_writes_it(tiny_config, 
             if (tmp_path / name).is_file():
                 writer.setdefault(name, stage)
     assert writer == {name: stage for name, (stage, _) in experiment.ARTIFACTS.items()}
+
+
+def _contents(out):
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+class _InjectedFault(OSError):
+    pass
+
+
+def _replace_failing_at(fail_at, published):
+    """``os.replace`` that records each target's name; its ``fail_at``-th call (none, for
+    ``None``) cuts the temporary file to half its bytes and raises, as a process killed
+    mid-write would leave it."""
+    replace = os.replace
+
+    def failing(source, target):
+        published.append(Path(target).name)
+        if len(published) == fail_at:
+            data = Path(source).read_bytes()
+            Path(source).write_bytes(data[:len(data) // 2])
+            raise _InjectedFault(f"injected failure publishing {published[-1]}")
+        replace(source, target)
+    return failing
+
+
+def test_a_failed_publish_leaves_every_file_whole_or_absent(tiny_config, tmp_path, monkeypatch):
+    run = tmp_path / "start"
+    run.mkdir()
+    for index, stage in enumerate(experiment.STAGE_ORDER):
+        before = _contents(run)
+        clean, published = tmp_path / stage, []
+        shutil.copytree(run, clean)
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", _replace_failing_at(None, published))
+            experiment.execute_stage(stage, tiny_config, 4, clean)
+        after = _contents(clean)
+        assert published[-1] == "timings.json", stage
+        for fail_at, name in enumerate(published, 1):
+            trial = tmp_path / f"{stage}-{fail_at}"
+            shutil.copytree(run, trial)
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "replace", _replace_failing_at(fail_at, []))
+                with pytest.raises(_InjectedFault, match=f"publishing {name}$"):
+                    experiment.execute_stage(stage, tiny_config, 4, trial)
+            left = _contents(trial)
+            assert left.get(name) == before.get(name), (stage, name)
+            # every file is whole: as before the stage ran, or as a clean run leaves it
+            for file, data in left.items():
+                assert data in (before.get(file), after[file]), (stage, name, file)
+            # a later stage finds each file whole or missing, never half-written
+            for later in experiment.STAGE_ORDER[index + 1:]:
+                try:
+                    experiment.execute_stage(later, tiny_config, 4, trial)
+                except CheckpointMissingError:
+                    pass
+        run = clean
+
+
+def test_execute_stage_is_the_one_publisher(tiny_config, tmp_path, monkeypatch):
+    stages, published = [], []
+    execute, replace = experiment.execute_stage, os.replace
+
+    def tracked(name, *args):
+        stages.append(name)
+        return execute(name, *args)
+
+    def spy(source, target):
+        source, target = Path(source), Path(target)
+        assert source == tmp_path / f".partial.{target.name}" and target.parent == tmp_path
+        published.append((stages[-1], target.name))
+        replace(source, target)
+
+    monkeypatch.setattr(experiment, "execute_stage", tracked)
+    monkeypatch.setattr(os, "replace", spy)
+    experiment.run_experiment(tiny_config, 4, tmp_path)
+    assert {name for _, name in published} == {path.name for path in tmp_path.iterdir()}
+    assert stages == list(experiment.STAGE_ORDER)
+    for stage in stages:
+        names = [name for by, name in published if by == stage]
+        assert len(set(names)) == len(names) and names[-1] == "timings.json", stage
+
+
+def test_a_stale_partial_file_is_ignored_and_then_replaced(tiny_config, tmp_path):
+    experiment.execute_stage("gen_data", tiny_config, 4, tmp_path)
+    dataset = (tmp_path / "dataset.npz").read_bytes()
+    # what a process killed while writing the dataset leaves behind
+    stale = tmp_path / ".partial.dataset.npz"
+    stale.write_bytes(dataset[:len(dataset) // 2])
+    experiment.execute_stage("train_hash", tiny_config, 4, tmp_path)
+    assert stale.read_bytes() == dataset[:len(dataset) // 2]
+    experiment.execute_stage("gen_data", tiny_config, 4, tmp_path)
+    assert not stale.exists()
+    assert (tmp_path / "dataset.npz").read_bytes() == dataset
