@@ -75,12 +75,14 @@ def iterative_gradient_attack(model, images, target_codes, config):
     ``epsilon``, ``step_size`` and ``iterations`` budget.
 
     One iteration is a fixed function of the block, and the block moves
-    on a finite lattice of clipped steps, so it soon repeats.  The
-    starting block, then the block of each power-of-two iteration, is
-    kept (Brent's cycle detection); once a later block equals the kept
-    one bit for bit, the block repeats with that period, and whole
-    periods of the remaining budget are skipped.  The result is the block
-    of the full budget, byte for byte, and only the iterations before the
+    on a finite lattice of clipped steps, so it soon repeats.  A hash of
+    each block's bytes is kept with its step.  When a block's hash was
+    seen at step j, the block of this step s is kept, and the block of
+    step s + (s - j) is compared with it bit for bit; if they are equal,
+    the block repeats with period s - j, and whole periods of the
+    remaining budget are skipped.  A hash collision fails the comparison
+    and the descent goes on.  The result is the block of the full
+    budget, byte for byte, and only the iterations up to the verified
     repeat and the remainder after the skip run.
     """
     images = np.asarray(images, dtype=np.float64)
@@ -88,7 +90,8 @@ def iterative_gradient_attack(model, images, target_codes, config):
     low = np.clip(images - config.epsilon, 0.0, 1.0)
     high = np.clip(images + config.epsilon, 0.0, 1.0)
     perturbed = images.copy()
-    kept, kept_at, step = perturbed, 0, 0
+    seen = {hash(perturbed.tobytes()): 0}
+    kept, check_at, step = None, 0, 0
     while step < config.iterations:
         with T.Tape() as tape:
             current = tape.watch(T.Tensor(perturbed))
@@ -97,11 +100,13 @@ def iterative_gradient_attack(model, images, target_codes, config):
         perturbed = np.clip(perturbed - config.step_size * np.sign(gradient), low, high)
         step += 1
         # bits, not values: -0.0 == 0.0, yet the two can step to different bytes
-        if np.array_equal(perturbed.view(np.uint64), kept.view(np.uint64)):
-            period = step - kept_at
+        if step == check_at and np.array_equal(perturbed.view(np.uint64), kept.view(np.uint64)):
             step += (config.iterations - step) // period * period
-        elif step & (step - 1) == 0:
-            kept, kept_at = perturbed, step
+        fingerprint = hash(perturbed.tobytes())
+        if step >= check_at and fingerprint in seen:  # no comparison is pending
+            kept, period = perturbed, step - seen[fingerprint]
+            check_at = step + period
+        seen[fingerprint] = step
     return perturbed
 
 

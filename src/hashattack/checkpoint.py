@@ -88,7 +88,9 @@ def load_checkpoint(path, kind, config_hash):
     if not path.is_file():
         raise CheckpointMissingError(f"no checkpoint at {path}")
     try:
-        payload = json.loads(path.read_text())
+        # decoded first, so the file's bytes are freed before the parse; and a
+        # bytes argument would let json.loads accept UTF-16 and UTF-32 files
+        payload = json.loads(path.read_bytes().decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise CheckpointCorruptError(f"unreadable checkpoint {path}: {err}") from err
     if not isinstance(payload, dict):
@@ -119,7 +121,8 @@ def load_checkpoint(path, kind, config_hash):
             flat = np.frombuffer(raw, dtype="<f8")
             if flat.size != int(np.prod(shape, dtype=np.int64)):
                 raise ValueError(f"tensor {name} does not fill shape {shape}")
-            tensors[name] = flat.reshape(shape).astype(np.float64)
+            # a read-only view of the file's bytes: load_state_dict copies it
+            tensors[name] = flat.reshape(shape)
         return Checkpoint(
             kind=payload["kind"],
             tensors=tensors,

@@ -197,9 +197,9 @@ def stage_attack(config, seed, out, method):
     Every method attacks the query split toward the run's shared targets.
     ``generation_<method>_seconds`` is the per-image latency: the time of
     the one generating call, since a batched method finishes every image
-    together, except for the generator, which makes one image per step and
-    so takes the call time over the image count.  The throughput is the
-    image count over the call time.
+    together, except for the generator, whose method is one forward pass
+    per query, and which takes the call time amortized over the image
+    count.  The throughput is the image count over the call time.
     """
     bundle = read("dataset.npz", config, seed, out)
     queries = bundle.query_images

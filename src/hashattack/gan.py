@@ -27,9 +27,9 @@ from .errors import (
     TrainingDivergedError,
 )
 from .hashing import binarize, encode_database
-from .layers import MLP, DenseLayer, Module, watch_parameters
+from .layers import MLP, DenseLayer, Module, forward_stack, watch_parameters
 from .optim import Adam
-from .prototype import PrototypeNet, loss_prototype
+from .prototype import PrototypeNet, loss_prototype, require_classes
 
 
 class Generator(Module):
@@ -326,18 +326,31 @@ def train_attack_gan(images, labels, hash_model, config, rng):
 
 
 def targeted_examples(stack, images, target_labels):
-    """The (count, pixels) perturbed block, one generator step per row pair."""
+    """The (count, pixels) perturbed block, crafted in one untraced pass.
+
+    The pass is ``Generator.forward`` on the prototype trunk's
+    representation, run over a (count, 1, width) stack of one-row
+    products, so every row gets the bytes of its own one-row forward.
+    """
     images = np.asarray(images, dtype=np.float64)
     target_labels = np.asarray(target_labels, dtype=np.float64)
+    if images.ndim != 2 or target_labels.ndim != 2:
+        raise DimensionError(
+            f"need (count, pixels) images and (count, classes) targets, got "
+            f"{images.shape} and {target_labels.shape}"
+        )
     if images.shape[0] != target_labels.shape[0]:
         raise DimensionError(
             f"need one target per image, got {images.shape[0]} images and "
             f"{target_labels.shape[0]} targets"
         )
-    # row by row on purpose: a batched forward sums in another order and
-    # would change the crafted bytes
-    perturbed = np.empty_like(images)
-    for row, (image, target) in enumerate(zip(images, target_labels)):
-        rep = stack.prototype.forward(target.reshape(1, -1)).representation
-        perturbed[row] = stack.generator.forward(image.reshape(1, -1), rep).values[0]
-    return perturbed
+    rows = images[:, None, :]
+    # the trunk checks the label width first, as PrototypeNet.forward does
+    rep = forward_stack(stack.prototype.trunk.layers, target_labels[:, None, :])
+    require_classes(target_labels)
+    generator = stack.generator
+    conditioning = forward_stack(generator.label_decoder.layers, rep)
+    core_out = forward_stack(generator.core.layers,
+                             np.concatenate([rows, conditioning], axis=-1))
+    head_in = np.concatenate([core_out, rows], axis=-1)
+    return forward_stack([generator.output_head], head_in).reshape(images.shape)

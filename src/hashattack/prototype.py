@@ -65,8 +65,7 @@ class PrototypeNet(Module):
         labels = T.as_tensor(labels)
         # the trunk's first matmul checks the shape, so the row sums below see a matrix
         rep = self.trunk.forward(labels)
-        if np.any(labels.values.sum(axis=1) == 0):
-            raise InputError("a target label with no class is meaningless")
+        require_classes(labels.values)
         return PrototypeOutput(
             representation=rep,
             continuous_code=self.code_head.forward(rep),
@@ -84,6 +83,12 @@ class PrototypeNet(Module):
             "code_length": self.code_length,
             "classes": self.classes,
         }
+
+
+def require_classes(labels):
+    """Refuse a block of 0/1 label rows in which some row names no class."""
+    if np.any(labels.sum(axis=-1) == 0):
+        raise InputError("a target label with no class is meaningless")
 
 
 def loss_prototype(continuous_codes, code_matrix, similarity, predicted_labels,

@@ -380,8 +380,26 @@ def test_a_period_of_eight_is_skipped_exactly(iterations):
         tapes = _count_tapes(patch)
         result = iterative_gradient_attack(_Circulating(), images, targets, config)
     assert result.tobytes() == expected.tobytes()
-    # the kept block of step 8 comes back at step 16, then only the remainder runs
-    assert len(tapes) == (iterations if iterations < 16 else 16 + (iterations - 16) % 8)
+    # step 9 hashes as step 1, step 17 equals the kept step 9, then only the remainder runs
+    assert len(tapes) == (iterations if iterations < 17 else 17 + (iterations - 17) % 8)
+
+
+def test_a_hash_that_collides_on_every_block_changes_no_byte(monkeypatch):
+    # every block looks seen, so only the bit-for-bit comparison can tell repeats apart
+    monkeypatch.setattr(baselines, "hash", lambda data: 0, raising=False)
+    model, bundle = _trained_toy_model()
+    images = bundle.query_images
+    targets = _codes(np.random.default_rng(6), images.shape[0])
+    config = ExperimentConfig(iterations=200)
+    expected = _plain_descent(model, images, targets, config)
+    assert iterative_gradient_attack(model, images, targets, config).tobytes() == expected.tobytes()
+    # the ring's consecutive blocks always differ, so it runs the whole budget
+    ring_images, ring_targets = np.full((1, 2), 0.5), np.ones((1, 1))
+    ring_config = ExperimentConfig(epsilon=0.125, step_size=0.125, iterations=40)
+    expected = _plain_descent(_Circulating(), ring_images, ring_targets, ring_config)
+    tapes = _count_tapes(monkeypatch)
+    result = iterative_gradient_attack(_Circulating(), ring_images, ring_targets, ring_config)
+    assert len(tapes) == 40 and result.tobytes() == expected.tobytes()
 
 
 def test_a_block_that_never_repeats_runs_every_step(monkeypatch):

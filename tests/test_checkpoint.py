@@ -88,6 +88,19 @@ def test_unparseable_file(tmp_path):
         load_checkpoint(target, "x", "cfg")
 
 
+@pytest.mark.parametrize("encode", [lambda text: text.encode("utf-16"),
+                                    lambda text: text.encode("utf-16-le"),
+                                    lambda text: text.encode() + b"\xff\xfe",
+                                    lambda text: text.encode().replace(b'"x"', b'"\xe9"')])
+def test_a_file_that_is_not_utf8_is_corrupt(tmp_path, rng, encode):
+    # json.loads reads UTF-16 bytes as happily as UTF-8; a checkpoint is UTF-8 only
+    target = tmp_path / "model.json"
+    _save_toy(target, {"w": rng.random(4)})
+    target.write_bytes(encode(target.read_text()))
+    with pytest.raises(CheckpointCorruptError, match="unreadable checkpoint"):
+        load_checkpoint(target, "x", "cfg")
+
+
 def test_tampered_tensor_fails_checksum(tmp_path, rng):
     target = tmp_path / "model.json"
     _save_toy(target, {"w": rng.random(4)})

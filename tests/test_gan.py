@@ -510,3 +510,44 @@ def test_targeted_examples_shapes_and_bounds():
     assert np.array_equal(perturbed, again)
     with pytest.raises(DimensionError):
         targeted_examples(stack, images[:3], targets)
+
+
+def _one_row_at_a_time(stack, images, target_labels):
+    """The crafting loop of one traced prototype and generator forward per row."""
+    perturbed = np.empty_like(images)
+    for row, (image, target) in enumerate(zip(images, target_labels)):
+        rep = stack.prototype.forward(target.reshape(1, -1)).representation
+        perturbed[row] = stack.generator.forward(image.reshape(1, -1), rep).values[0]
+    return perturbed
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_targeted_examples_keeps_the_bytes_of_one_forward_per_row(seed):
+    config, hash_model, images, labels, label_set, code_matrix = _mini_setup(
+        seed=seed, generator_bottleneck=7, decoder_hidden=9)
+    stack, _ = train_attack_gan(images, labels, hash_model, config, seed)
+    rng = np.random.default_rng(seed)
+    # more queries than training images, pixels beyond [0, 1] included
+    queries = rng.uniform(-0.5, 1.5, (50, images.shape[1]))
+    targets = label_set[rng.integers(0, label_set.shape[0], 50)]
+    expected = _one_row_at_a_time(stack, queries, targets)
+    assert targeted_examples(stack, queries, targets).tobytes() == expected.tobytes()
+    assert targeted_examples(stack, queries[:0], targets[:0]).shape == (0, images.shape[1])
+
+
+def test_targeted_examples_refuses_malformed_blocks():
+    config, hash_model, images, labels, label_set, code_matrix = _mini_setup()
+    stack, _ = train_attack_gan(images, labels, hash_model, config, 3)
+    targets = label_set[np.zeros(4, dtype=int)]
+    no_class = targets.copy()
+    no_class[2] = 0.0
+    with pytest.raises(InputError, match="no class"):
+        targeted_examples(stack, images[:4], no_class)
+    for block in (images[:4, 0], np.stack([images[:4]] * 2, axis=1), images[:4, None, :]):
+        with pytest.raises(DimensionError):
+            targeted_examples(stack, block, targets)
+    for bad_targets in (targets[:, 0], targets[:, None, :], targets[:, :1], targets[:3]):
+        with pytest.raises(DimensionError):
+            targeted_examples(stack, images[:4], bad_targets)
+    with pytest.raises(DimensionError):
+        targeted_examples(stack, np.hstack([images[:4], images[:4]]), targets)
