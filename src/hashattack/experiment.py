@@ -198,8 +198,10 @@ def stage_attack(config, seed, out, method):
     ``generation_<method>_seconds`` is the per-image latency: the time of
     the one generating call, since a batched method finishes every image
     together, except for the generator, whose method is one forward pass
-    per query, and which takes the call time amortized over the image
-    count.  The throughput is the image count over the call time.
+    per query: its one ``Generator.forward`` over a stack of one-row
+    blocks crafts each query as a pass of its own would, so it takes the
+    call time amortized over the image count.  The throughput is the
+    image count over the call time.
     """
     bundle = read("dataset.npz", config, seed, out)
     queries = bundle.query_images

@@ -27,9 +27,9 @@ from .errors import (
     TrainingDivergedError,
 )
 from .hashing import binarize, encode_database
-from .layers import MLP, DenseLayer, Module, forward_stack, watch_parameters
+from .layers import MLP, DenseLayer, Module, watch_parameters
 from .optim import Adam
-from .prototype import PrototypeNet, loss_prototype, require_classes
+from .prototype import PrototypeNet, loss_prototype
 
 
 class Generator(Module):
@@ -69,7 +69,7 @@ class Generator(Module):
         return self.label_decoder.input_width
 
     def forward(self, images, representations):
-        """Traced perturbed batch; both inputs are (batch, ...) rows."""
+        """Traced perturbed batch; both inputs are (batch, width) rows or stacks of them."""
         images = T.as_tensor(images)
         conditioning = self.label_decoder.forward(representations)
         mixed = T.concat([images, conditioning])
@@ -326,14 +326,16 @@ def train_attack_gan(images, labels, hash_model, config, rng):
 
 
 def targeted_examples(stack, images, target_labels):
-    """The (count, pixels) perturbed block, crafted in one untraced pass.
+    """The (count, pixels) perturbed block: one untraced ``Generator.forward``.
 
-    The pass is ``Generator.forward`` on the prototype trunk's
-    representation, run over a (count, 1, width) stack of one-row
-    products, so every row gets the bytes of its own one-row forward.
+    The prototype and the generator run once each over a C-ordered
+    (count, 1, width) stack of one-row blocks.  numpy multiplies each
+    slice with the one-row kernel a (1, width) matrix gets, so every row
+    keeps the bytes of its own one-row forward; a (count, width) matrix
+    product sums in another order, and so can an F-ordered stack.
     """
-    images = np.asarray(images, dtype=np.float64)
-    target_labels = np.asarray(target_labels, dtype=np.float64)
+    images = np.ascontiguousarray(images, dtype=np.float64)
+    target_labels = np.ascontiguousarray(target_labels, dtype=np.float64)
     if images.ndim != 2 or target_labels.ndim != 2:
         raise DimensionError(
             f"need (count, pixels) images and (count, classes) targets, got "
@@ -344,13 +346,6 @@ def targeted_examples(stack, images, target_labels):
             f"need one target per image, got {images.shape[0]} images and "
             f"{target_labels.shape[0]} targets"
         )
-    rows = images[:, None, :]
-    # the trunk checks the label width first, as PrototypeNet.forward does
-    rep = forward_stack(stack.prototype.trunk.layers, target_labels[:, None, :])
-    require_classes(target_labels)
-    generator = stack.generator
-    conditioning = forward_stack(generator.label_decoder.layers, rep)
-    core_out = forward_stack(generator.core.layers,
-                             np.concatenate([rows, conditioning], axis=-1))
-    head_in = np.concatenate([core_out, rows], axis=-1)
-    return forward_stack([generator.output_head], head_in).reshape(images.shape)
+    return stack.generator.forward(
+        images[:, None, :], stack.prototype.forward(target_labels[:, None, :]).representation
+    ).values.reshape(images.shape)

@@ -145,26 +145,6 @@ class MLP(Module):
         }
 
 
-def forward_stack(layers, rows):
-    """Untraced values of ``layers`` applied in order to a (count, 1, width) stack.
-
-    numpy's ``matmul`` runs each (1, width) slice of a C-contiguous stack
-    through the same one-row kernel as a (1, width) matrix, and the bias
-    add and the activations are elementwise, so each slice gets the bytes
-    a one-row ``MLP.forward`` would.  A (count, width) product is one
-    matrix-matrix kernel that sums in another order.
-    """
-    rows = np.ascontiguousarray(rows, dtype=np.float64)
-    for layer in layers:
-        if rows.ndim != 3 or rows.shape[1:] != (1, layer.weight.shape[0]):
-            raise DimensionError(
-                f"need a (count, 1, {layer.weight.shape[0]}) stack, got {rows.shape}"
-            )
-        pre = np.matmul(rows, layer.weight.values) + layer.bias.values
-        rows = _ACTIVATIONS[layer.activation](T.Tensor(pre)).values
-    return rows
-
-
 def watch_parameters(tape, *models):
     for model in models:
         for p in model.parameters():

@@ -61,11 +61,12 @@ class PrototypeNet(Module):
         return self.code_head.weight.shape[1]
 
     def forward(self, labels):
-        """Traced outputs for a (batch, classes) 0/1 label matrix."""
+        """Traced outputs for a (batch, classes) 0/1 label matrix or a stack of them."""
         labels = T.as_tensor(labels)
-        # the trunk's first matmul checks the shape, so the row sums below see a matrix
+        # the trunk's first matmul checks the shape, so the row sums below see label rows
         rep = self.trunk.forward(labels)
-        require_classes(labels.values)
+        if np.any(labels.values.sum(axis=-1) == 0):
+            raise InputError("a target label with no class is meaningless")
         return PrototypeOutput(
             representation=rep,
             continuous_code=self.code_head.forward(rep),
@@ -83,12 +84,6 @@ class PrototypeNet(Module):
             "code_length": self.code_length,
             "classes": self.classes,
         }
-
-
-def require_classes(labels):
-    """Refuse a block of 0/1 label rows in which some row names no class."""
-    if np.any(labels.sum(axis=-1) == 0):
-        raise InputError("a target label with no class is meaningless")
 
 
 def loss_prototype(continuous_codes, code_matrix, similarity, predicted_labels,

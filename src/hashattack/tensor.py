@@ -16,10 +16,12 @@ Ops take ``Tensor`` operands only; a caller wraps a constant array with
 ``Tensor(...)``, and the network entry points that accept raw rows
 convert them with ``as_tensor``.  Values are float64 numpy arrays
 throughout.  Ops require exact shape agreement (no silent
-broadcasting); the one blessed broadcast is ``bias_add``, which adds a
-vector across the rows of a matrix.  Each op raises ``DimensionError``
-on a mismatch before it returns, so callers rely on these checks and do
-not repeat them.
+broadcasting).  ``matmul``, ``bias_add`` and ``concat`` take a row
+operand of shape ``(..., rows, width)``: a matrix, or a stack of row
+blocks that the weight matrix, the bias vector or the other blocks meet
+on the last axis, and their pulls sum over every row of the stack.
+Each op raises ``DimensionError`` on a mismatch before it returns, so
+callers rely on these checks and do not repeat them.
 """
 
 import numpy as np
@@ -187,28 +189,33 @@ def square(t):
 
 
 def matmul(a, b):
-    if a.values.ndim != 2 or b.values.ndim != 2:
+    if a.values.ndim < 2 or b.values.ndim != 2:
         raise DimensionError(
-            f"matmul needs 2-D operands, got {a.values.shape} and {b.values.shape}"
+            f"matmul needs rows by a 2-D matrix, got {a.values.shape} and {b.values.shape}"
         )
-    if a.values.shape[1] != b.values.shape[0]:
+    if a.values.shape[-1] != b.values.shape[0]:
         raise DimensionError(
             f"matmul inner dimensions disagree: {a.values.shape} by {b.values.shape}"
         )
     av, bv = a.values, b.values
-    return _node(av @ bv, (a, lambda g: g @ bv.T), (b, lambda g: av.T @ g))
+    k, m = bv.shape
+    # on matrices the reshapes are views of unchanged shape, so a 2-D pull keeps its bits
+    return _node(av @ bv, (a, lambda g: g @ bv.T),
+                 (b, lambda g: av.reshape(-1, k).T @ g.reshape(-1, m)))
 
 
 def bias_add(m, v):
-    if m.values.ndim != 2 or v.values.ndim != 1:
+    if m.values.ndim < 2 or v.values.ndim != 1:
         raise DimensionError(
-            f"bias_add needs a matrix and a vector, got {m.values.shape} and {v.values.shape}"
+            f"bias_add needs rows and a vector, got {m.values.shape} and {v.values.shape}"
         )
-    if m.values.shape[1] != v.values.shape[0]:
+    width = v.values.shape[0]
+    if m.values.shape[-1] != width:
         raise DimensionError(
-            f"bias width {v.values.shape[0]} does not match matrix columns {m.values.shape[1]}"
+            f"bias width {width} does not match row width {m.values.shape[-1]}"
         )
-    return _node(m.values + v.values, (m, lambda g: g), (v, lambda g: g.sum(axis=0)))
+    return _node(m.values + v.values, (m, lambda g: g),
+                 (v, lambda g: g.reshape(-1, width).sum(axis=0)))
 
 
 def transpose(t):
@@ -254,14 +261,14 @@ def total(t):
 
 
 def concat(tensors):
-    """Join 2-D row blocks side by side: (rows, a) and (rows, b) make (rows, a + b)."""
+    """Join row blocks side by side: (..., rows, a) and (..., rows, b) make (..., rows, a + b)."""
     shapes = [t.values.shape for t in tensors]
-    if not shapes or any(len(shape) != 2 or shape[0] != shapes[0][0] for shape in shapes):
-        raise DimensionError(f"concat joins 2-D blocks with equal row counts, got {shapes}")
+    if not shapes or any(len(shape) < 2 or shape[:-1] != shapes[0][:-1] for shape in shapes):
+        raise DimensionError(f"concat joins blocks of equal leading shape, got {shapes}")
     edges = []
     start = 0
     for t in tensors:
-        stop = start + t.values.shape[1]
-        edges.append((t, lambda g, lo=start, hi=stop: g[:, lo:hi]))
+        stop = start + t.values.shape[-1]
+        edges.append((t, lambda g, lo=start, hi=stop: g[..., lo:hi]))
         start = stop
-    return _node(np.concatenate([t.values for t in tensors], axis=1), *edges)
+    return _node(np.concatenate([t.values for t in tensors], axis=-1), *edges)

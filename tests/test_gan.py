@@ -535,6 +535,24 @@ def test_targeted_examples_keeps_the_bytes_of_one_forward_per_row(seed):
     assert targeted_examples(stack, queries[:0], targets[:0]).shape == (0, images.shape[1])
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_targeted_examples_gives_f_ordered_blocks_their_c_ordered_bytes(seed):
+    # many-class targets, so the trunk's sums have enough terms for their order to show
+    rng = np.random.default_rng(seed)
+    pixels, classes = 16, 30
+    stack = AttackStack(PrototypeNet.create(rng, classes, 8, hidden_widths=(12,),
+                                            representation_width=8),
+                        Generator.create(rng, 8, pixels, decoder_hidden=12, bottleneck=10),
+                        Discriminator.create(rng, pixels, classes, hidden=(4,)))
+    queries = rng.uniform(-0.5, 1.5, (50, pixels))
+    targets = (rng.random((50, classes)) < 0.5).astype(np.float64)
+    targets[:, 0] = 1.0
+    expected = _one_row_at_a_time(stack, queries, targets)
+    assert targeted_examples(stack, queries, targets).tobytes() == expected.tobytes()
+    got = targeted_examples(stack, np.asfortranarray(queries), np.asfortranarray(targets))
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_targeted_examples_refuses_malformed_blocks():
     config, hash_model, images, labels, label_set, code_matrix = _mini_setup()
     stack, _ = train_attack_gan(images, labels, hash_model, config, 3)

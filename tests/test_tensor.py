@@ -79,7 +79,7 @@ def test_shape_guards():
         T.bias_add(T.Tensor([[1.0, 2.0]]), T.Tensor([1.0, 2.0, 3.0]))
     with pytest.raises(DimensionError):
         T.transpose(T.Tensor([1.0, 2.0]))
-    # concat joins 2-D blocks that have equal row counts, and nothing else
+    # concat joins blocks of at least two axes that agree on all but the last
     with pytest.raises(DimensionError):
         T.concat([T.Tensor([[1.0]]), T.Tensor([[1.0], [2.0]])])
     with pytest.raises(DimensionError):
@@ -87,9 +87,29 @@ def test_shape_guards():
     with pytest.raises(DimensionError):
         T.concat([T.Tensor([[1.0]]), T.Tensor([1.0])])
     with pytest.raises(DimensionError):
-        T.concat([T.Tensor(np.ones((1, 2, 2))), T.Tensor(np.ones((1, 2, 2)))])
+        T.concat([T.Tensor(np.ones((1, 2, 2))), T.Tensor(np.ones((2, 2, 2)))])
+    with pytest.raises(DimensionError):
+        T.concat([T.Tensor(np.ones((1, 2, 2))), T.Tensor(np.ones((2, 2)))])
     with pytest.raises(DimensionError):
         T.concat([])
+
+
+def test_stacks_of_row_blocks_meet_the_same_guards():
+    stack = T.Tensor(np.ones((4, 1, 3)))
+    with pytest.raises(DimensionError):
+        T.matmul(stack, T.Tensor(np.ones((2, 5))))
+    with pytest.raises(DimensionError):
+        T.matmul(stack, T.Tensor(np.ones((1, 3, 2))))
+    with pytest.raises(DimensionError):
+        T.bias_add(stack, T.Tensor(np.ones(2)))
+    with pytest.raises(DimensionError):
+        T.bias_add(T.Tensor(np.ones(3)), T.Tensor(np.ones(3)))
+    with pytest.raises(DimensionError):
+        T.bias_add(stack, T.Tensor(np.ones((1, 3))))
+    with pytest.raises(DimensionError):
+        T.concat([stack, T.Tensor(np.ones((4, 2, 3)))])
+    with pytest.raises(DimensionError):
+        T.concat([stack, T.Tensor(np.ones((1, 4, 1, 3)))])
 
 
 def test_ops_on_constants_stay_off_tape():
@@ -347,3 +367,34 @@ def test_a_node_holds_one_edge_per_attached_operand(rng):
     grad = rng.normal(size=(2, 6))
     assert np.array_equal(first_pull(grad), grad[:, :1])
     assert np.array_equal(second_pull(grad), grad[:, 4:])
+
+
+def _stacked_layer_loss(x, c, w, b):
+    return T.total(T.square(T.tanh(T.bias_add(T.matmul(T.concat([x, c]), w), b))))
+
+
+def test_a_stack_of_one_row_blocks_gets_the_gradients_of_its_matrix(rng):
+    # a concat pull sliced at shape[1] would hand every (count, 1, w) block columns 0:1
+    x = rng.normal(size=(6, 3))
+    c = rng.normal(size=(6, 2))
+    w = rng.normal(size=(5, 4))
+    b = rng.normal(size=(4,))
+    block = _tape_gradients(_stacked_layer_loss, [x, c, w, b])
+    stack = _tape_gradients(_stacked_layer_loss, [x[:, None, :], c[:, None, :], w, b])
+    assert [g.shape for g in stack] == [(6, 1, 3), (6, 1, 2), (5, 4), (4,)]
+    for got, want in zip(stack, block):
+        assert np.max(np.abs(got.reshape(want.shape) - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_stacked_gradients_match_finite_differences(rng):
+    for leading in ((2, 3), (2, 2, 1)):
+        arrays = [rng.normal(size=leading + (3,)), rng.normal(size=leading + (2,)),
+                  rng.normal(size=(5, 4)), rng.normal(size=(4,))]
+
+        def loss_fn(*values):
+            return float(_stacked_layer_loss(*(T.Tensor(v) for v in values)).values)
+
+        analytic = _tape_gradients(_stacked_layer_loss, arrays)
+        numeric = finite_difference(loss_fn, arrays)
+        for got, want in zip(analytic, numeric):
+            assert_grad_close(got, want)
