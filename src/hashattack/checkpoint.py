@@ -10,6 +10,7 @@ class.  Each persisted class (``HashModel``, ``AttackStack``) owns its
 stored layout through ``architecture()`` and ``from_architecture``.
 """
 
+import binascii
 import hashlib
 import json
 import math
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import load_json
 from .errors import (
     CheckpointCorruptError,
     CheckpointMismatchError,
@@ -84,41 +86,31 @@ def save_checkpoint(path, checkpoint):
 
 
 def load_checkpoint(path, kind, config_hash):
+    """The checkpoint at ``path``, gated in order: a file (else ``CheckpointMissingError``),
+    a JSON object, the version, the checksum, the kind, the config hash, then the tensors."""
     path = Path(path)
     if not path.is_file():
         raise CheckpointMissingError(f"no checkpoint at {path}")
-    try:
-        # decoded first, so the file's bytes are freed before the parse; and a
-        # bytes argument would let json.loads accept UTF-16 and UTF-32 files
-        payload = json.loads(path.read_bytes().decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
-        raise CheckpointCorruptError(f"unreadable checkpoint {path}: {err}") from err
-    if not isinstance(payload, dict):
-        raise CheckpointCorruptError(f"checkpoint {path} is not a JSON object")
+    payload = load_json(path, f"checkpoint {path}")
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise CheckpointVersionError(
-            f"{path} uses format version {version!r}, this build reads {FORMAT_VERSION}"
-        )
-    if payload.pop("checksum", None) != _canonical_digest(payload):
-        raise CheckpointCorruptError(f"checksum mismatch in {path}")
-    if payload.get("kind") != kind:
-        raise CheckpointMismatchError(
-            f"{path} holds a {payload.get('kind')!r} checkpoint, expected {kind!r}"
-        )
-    # the requested hash must be stored exactly: a file without one is refused
-    if payload.get("config_hash") != config_hash:
-        raise CheckpointMismatchError(
-            f"{path} was not written under the requested configuration"
-        )
-    tensors = {}
+            f"{path} uses format version {version!r}, this build reads {FORMAT_VERSION}")
     try:
+        if payload.pop("checksum", None) != _canonical_digest(payload):
+            raise CheckpointCorruptError(f"checksum mismatch in {path}")
+        if payload.get("kind") != kind:
+            raise CheckpointMismatchError(
+                f"{path} holds a {payload.get('kind')!r} checkpoint, expected {kind!r}")
+        # the requested hash must be stored exactly: a file without one is refused
+        if payload.get("config_hash") != config_hash:
+            raise CheckpointMismatchError(
+                f"{path} was not written under the requested configuration")
+        tensors = {}
         for name, entry in payload["tensors"].items():
             shape = tuple(int(v) for v in entry["shape"])
-            raw = bytes.fromhex(entry["data"])
-            if 2 * len(raw) != len(entry["data"]):  # fromhex skips whitespace
-                raise ValueError(f"tensor {name} data is not plain hex")
-            flat = np.frombuffer(raw, dtype="<f8")
+            # strict: whitespace, an odd length or non-ASCII text is refused
+            flat = np.frombuffer(binascii.a2b_hex(entry["data"]), dtype="<f8")
             if flat.size != int(np.prod(shape, dtype=np.int64)):
                 raise ValueError(f"tensor {name} does not fill shape {shape}")
             # a read-only view of the file's bytes: load_state_dict copies it
@@ -130,8 +122,8 @@ def load_checkpoint(path, kind, config_hash):
             seed=payload["seed"],
             config_hash=payload["config_hash"],
         )
-    # OverflowError: a shape entry too large for the int64 element count
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as err:
+    # OverflowError: a shape past the int64 count; RecursionError: too deep for the checksum
+    except (AttributeError, KeyError, OverflowError, RecursionError, TypeError, ValueError) as err:
         raise CheckpointCorruptError(f"malformed checkpoint {path}: {err}") from err
 
 

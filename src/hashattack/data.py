@@ -8,6 +8,7 @@ strong shared structure.  Images are flat row vectors in [0,1]; labels
 are 0/1 indicator vectors.
 """
 
+import json
 import zlib
 import zipfile
 from dataclasses import dataclass, fields
@@ -138,6 +139,18 @@ def load_npz(path, keys):
                 and np.isfinite(array).all()):
             raise CheckpointCorruptError(f"{name}: {key} is not an array of finite numbers")
     return tuple(arrays)
+
+
+def load_json(path, what):
+    """The JSON object at ``path``, read as strict UTF-8 (``json.loads`` of bytes would take
+    UTF-16 and UTF-32); an unreadable, too deep or non-object file is corrupt, naming ``what``."""
+    try:
+        payload = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except (OSError, RecursionError, ValueError) as err:
+        raise CheckpointCorruptError(f"unreadable {what}: {err}") from err
+    if not isinstance(payload, dict):
+        raise CheckpointCorruptError(f"{what} is not a JSON object")
+    return payload
 
 
 def save_bundle(bundle, path):

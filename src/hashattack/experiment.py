@@ -18,7 +18,7 @@ import numpy as np
 
 from .baselines import anchor_attack, anchor_codes, noise_queries, p2p_attack
 from .checkpoint import load_attack_stack, load_hash_model, save_attack_stack, save_hash_model
-from .data import gen_synthetic_dataset, load_bundle, load_npz, save_bundle, unique_labels
+from .data import gen_synthetic_dataset, load_bundle, load_json, load_npz, save_bundle, unique_labels
 from .errors import (CheckpointCorruptError, CheckpointMismatchError,
                      CheckpointMissingError, InputError)
 from .evaluation import evaluate_queries, mean_perceptibility
@@ -353,12 +353,7 @@ def execute_stage(name, config, seed, out):
     started = time.perf_counter()
     summary, files, timings = _STAGE_TABLE[name](config, seed, out)
     target = out / "timings.json"
-    try:
-        current = json.loads(target.read_text()) if target.is_file() else {}
-    except ValueError as err:  # bad JSON or bad UTF-8
-        raise CheckpointCorruptError(f"unreadable timings.json: {err}") from err
-    if not isinstance(current, dict):
-        raise CheckpointCorruptError("timings.json is not a JSON object")
+    current = load_json(target, "timings.json") if target.is_file() else {}
     _publish(out, files)
     current.update(timings, **{f"{name}_seconds": time.perf_counter() - started})
     _publish(out, {"timings.json": functools.partial(_write_json, payload=current)})

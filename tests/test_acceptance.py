@@ -9,9 +9,13 @@ enumeration, quadratic re-ranking).
 """
 
 import dataclasses
+import functools
 import itertools
 import json
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -79,32 +83,52 @@ def pipeline(tmp_path_factory):
     )
 
 
-@pytest.fixture(scope="module")
-def gan_variants(pipeline):
-    """Attack retrained under changed knobs, scored like the main run."""
-    config = pipeline.config
-    bundle = load_bundle(pipeline.out / "dataset.npz")
-    model, _ = load_hash_model(pipeline.out / "hash_model.json",
-                               config_hash=config.config_hash())
-    with np.load(pipeline.out / "codes.npz") as blob:
+def _scored_variant(out, config, overrides):
+    """(t-MAP, perceptibility) of the attack retrained under ``overrides`` and scored
+    like the main run, from the run's files in ``out``; at module level, so a spawned
+    worker can import it."""
+    bundle = load_bundle(out / "dataset.npz")
+    model, _ = load_hash_model(out / "hash_model.json", config_hash=config.config_hash())
+    with np.load(out / "codes.npz") as blob:
         matrix = blob["code_matrix"]
     targets = eval_target_labels(SEED, bundle)
+    stack, _ = train_attack_gan(bundle.train_images, bundle.train_labels, model,
+                                dataclasses.replace(config, **overrides),
+                                stage_rng(SEED, "attack"))
+    perturbed = targeted_examples(stack, bundle.query_images, targets)
+    score = evaluate_queries(model.codes(perturbed), matrix,
+                             bundle.database_labels, targets)[0].mean_ap
+    return score, mean_perceptibility(bundle.query_images, perturbed)
 
-    def trained(**overrides):
-        gan_config = dataclasses.replace(config, **overrides)
-        stack, _ = train_attack_gan(bundle.train_images, bundle.train_labels, model,
-                                    gan_config, stage_rng(SEED, "attack"))
-        perturbed = targeted_examples(stack, bundle.query_images, targets)
-        score = evaluate_queries(model.codes(perturbed), matrix,
-                                 bundle.database_labels, targets)[0].mean_ap
-        return score, mean_perceptibility(bundle.query_images, perturbed)
 
-    return SimpleNamespace(
-        low_weight=trained(reconstruction_weight=10.0),
-        high_weight=trained(reconstruction_weight=200.0),
-        no_hamming=trained(disable_hamming_loss=True),
-        no_classes=trained(disable_discriminator_classes=True),
-    )
+_GAN_VARIANTS = {
+    "low_weight": {"reconstruction_weight": 10.0},
+    "high_weight": {"reconstruction_weight": 200.0},
+    "no_hamming": {"disable_hamming_loss": True},
+    "no_classes": {"disable_discriminator_classes": True},
+}
+
+
+@pytest.fixture(scope="module")
+def gan_variants(pipeline):
+    """Attack retrained under changed knobs, scored like the main run.
+
+    The trainings share only read-only files, so up to four spawned workers
+    run them at once, on one core serially.  Each worker gets one BLAS
+    thread: two processes of two threads each on two cores oversubscribe
+    the machine.  The parent's own BLAS threading is left as it is.
+    """
+    scored = functools.partial(_scored_variant, pipeline.out, pipeline.config)
+    workers = min(4, os.cpu_count() or 1)
+    if workers == 1:
+        scores = list(map(scored, _GAN_VARIANTS.values()))
+    else:
+        # a spawned worker's numpy reads the variable as it starts
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("OPENBLAS_NUM_THREADS", "1")
+            with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+                scores = list(pool.map(scored, _GAN_VARIANTS.values()))
+    return SimpleNamespace(**dict(zip(_GAN_VARIANTS, scores)))
 
 
 def _signs(rng, shape):

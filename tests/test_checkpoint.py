@@ -86,6 +86,16 @@ def test_unparseable_file(tmp_path):
     target.write_text('["a", "list"]')
     with pytest.raises(CheckpointCorruptError):
         load_checkpoint(target, "x", "cfg")
+    # nested past the parser's depth limit, then shallower down to the first file that both
+    # parses and has its checksum walked, through the depths where only the parse succeeds
+    limit = sys.getrecursionlimit()
+    for depth in (5 * limit, *range(limit, 0, -1)):
+        target.write_text('{"format_version": 1, "meta": ' + '{"a":' * depth + "1"
+                          + "}" * depth + "}")
+        with pytest.raises(CheckpointCorruptError) as caught:
+            load_checkpoint(target, "x", "cfg")
+        if "checksum mismatch" in str(caught.value):
+            break
 
 
 @pytest.mark.parametrize("encode", [lambda text: text.encode("utf-16"),

@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hashattack import evaluation, experiment
-from hashattack.checkpoint import _canonical_digest, load_checkpoint
+from hashattack.checkpoint import (_canonical_digest, load_checkpoint, save_attack_stack,
+                                   save_hash_model)
 from hashattack.config import ExperimentConfig
 from hashattack.data import gen_synthetic_dataset, load_bundle, save_bundle
 from hashattack.errors import (
@@ -26,6 +27,9 @@ from hashattack.errors import (
     CheckpointMissingError,
     InputError,
 )
+from hashattack.gan import AttackStack, Discriminator, Generator
+from hashattack.hashing import HashModel
+from hashattack.prototype import PrototypeNet
 
 METHOD_NAMES = {"Original", "Noise", "P2P", "DHTA", "ProS-GAN",
                 "Anchor-code", "Prototype-code"}
@@ -286,7 +290,7 @@ def test_attack_stages_store_queries_and_shared_targets(tiny_config, tmp_path):
                                   tiny_config, 6, tmp_path)
 
 
-@pytest.mark.parametrize("damage", ["[]", "{"])
+@pytest.mark.parametrize("damage", ["[]", "{", pytest.param("[" * 100_000, id="deep")])
 def test_damaged_timings_are_corrupt(tiny_config, tmp_path, damage):
     experiment.execute_stage("gen_data", tiny_config, 5, tmp_path)
     (tmp_path / "timings.json").write_text(damage)
@@ -314,14 +318,37 @@ def _read(name, out):
     return experiment.read(name, ExperimentConfig(), 1, out)
 
 
+def _checkpoint_bytes(save, module):
+    """A checkpoint of ``module`` saved as ``_read`` asks: stock config hash, seed 1."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "checkpoint.json"
+        save(path, module, 1, ExperimentConfig().config_hash(), {})
+        return path.read_bytes()
+
+
+def _tiny_stack():
+    rng = np.random.default_rng(8)
+    return AttackStack(
+        PrototypeNet.create(rng, classes=3, code_length=6, hidden_widths=(10,),
+                            representation_width=8),
+        Generator.create(rng, representation_width=8, pixels=12, decoder_hidden=9,
+                         bottleneck=7),
+        Discriminator.create(rng, pixels=12, classes=3, hidden=(5,)))
+
+
 # (file name, bytes of a valid file)
-_NPZ_LOADERS = {
+_ARTIFACT_LOADERS = {
     "dataset": ("dataset.npz", _bundle_bytes()),
     "codes": ("codes.npz", _npz_bytes(code_matrix=np.ones((4, 3)))),
     "examples": ("adversarial_p2p.npz",
                  _npz_bytes(originals=np.zeros((2, 4)), perturbed=np.ones((2, 4)),
                             target_labels=np.eye(2))),
+    "hash_model": ("hash_model.json", _checkpoint_bytes(
+        save_hash_model, HashModel.create(np.random.default_rng(3), 10, 6, hidden_widths=(12,)))),
+    "attack_stack": ("attack_stack.json", _checkpoint_bytes(save_attack_stack, _tiny_stack())),
 }
+_NPZ_KINDS = sorted(kind for kind, (name, _) in _ARTIFACT_LOADERS.items()
+                    if name.endswith(".npz"))
 
 
 def _damaged(valid):
@@ -335,11 +362,11 @@ def _damaged(valid):
     )
 
 
-@pytest.mark.parametrize("kind", sorted(_NPZ_LOADERS))
+@pytest.mark.parametrize("kind", sorted(_ARTIFACT_LOADERS))
 @settings(deadline=None)
 @given(data=st.data())
-def test_fuzzed_npz_loads_or_raises_checkpoint_error(kind, data):
-    name, valid = _NPZ_LOADERS[kind]
+def test_fuzzed_artifact_loads_or_raises_checkpoint_error(kind, data):
+    name, valid = _ARTIFACT_LOADERS[kind]
     payload = data.draw(_damaged(valid))
     with tempfile.TemporaryDirectory() as scratch:
         out = Path(scratch)
@@ -370,9 +397,9 @@ _NOT_FINITE_NUMBERS = {
 
 
 @pytest.mark.parametrize("damage", list(_NOT_FINITE_NUMBERS))
-@pytest.mark.parametrize("kind", sorted(_NPZ_LOADERS))
+@pytest.mark.parametrize("kind", _NPZ_KINDS)
 def test_a_member_that_is_not_finite_numbers_is_corrupt(kind, damage, tmp_path):
-    name, valid = _NPZ_LOADERS[kind]
+    name, valid = _ARTIFACT_LOADERS[kind]
     with np.load(io.BytesIO(valid)) as blob:
         arrays = {key: blob[key] for key in blob.files}
     for key, array in arrays.items():
@@ -405,7 +432,7 @@ def test_damaged_codes_are_corrupt(tmp_path):
     with zipfile.ZipFile(raw_member, "w") as archive:
         archive.writestr("code_matrix.npy", b"no npy header")
     signs = np.ones((4, 3))
-    for payload, message in ((_NPZ_LOADERS["codes"][1][:40], "codes.npz"),
+    for payload, message in ((_ARTIFACT_LOADERS["codes"][1][:40], "codes.npz"),
                              (bare.getvalue(), "not an npz archive"),
                              (raw_member.getvalue(), "not an array"),
                              (_npz_bytes(codes=signs), "code_matrix"),
