@@ -82,7 +82,9 @@ def save_checkpoint(path, checkpoint):
         "tensors": packed,
     }
     payload["checksum"] = _canonical_digest(payload)
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1))
+    # streamed: json.dump with an indent runs the encoder json.dumps does, same bytes
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, sort_keys=True, indent=1)
 
 
 def load_checkpoint(path, kind, config_hash):
@@ -130,7 +132,7 @@ def load_checkpoint(path, kind, config_hash):
 def _save_module(path, kind, module, seed, config_hash, meta):
     save_checkpoint(path, Checkpoint(
         kind=kind,
-        tensors=module.state_dict(),
+        tensors={name: param.values for name, param in module.named_parameters()},
         meta={**module.architecture(), **meta},
         seed=seed,
         config_hash=config_hash,

@@ -254,6 +254,10 @@ def stage_eval(config, seed, out):
     db_labels = bundle.database_labels
     labels = bundle.query_labels
     targets = eval_target_labels(seed, bundle)
+    proto_codes = None
+    if (out / "attack_stack.json").is_file():  # parsed before any attacked block is alive
+        prototype = read("attack_stack.json", config, seed, out).prototype
+        proto_codes = binarize(prototype.forward(targets).continuous_code.values)
 
     methods = {}
     curves = {}
@@ -278,9 +282,7 @@ def stage_eval(config, seed, out):
     curves["anchor"] = evaluate_queries(anchors, matrix, db_labels, targets)[0]
     methods["Anchor-code"] = _method_row(curves["anchor"])
 
-    if (out / "attack_stack.json").is_file():
-        stack = read("attack_stack.json", config, seed, out)
-        proto_codes = binarize(stack.prototype.forward(targets).continuous_code.values)
+    if proto_codes is not None:
         curves["prototype"] = evaluate_queries(proto_codes, matrix, db_labels, targets)[0]
         methods["Prototype-code"] = _method_row(curves["prototype"])
 

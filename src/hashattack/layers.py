@@ -30,10 +30,6 @@ class Module:
     def parameters(self):
         return [param for _, param in self.named_parameters()]
 
-    def state_dict(self):
-        """Named copies of every parameter array, for persistence."""
-        return {name: param.values.copy() for name, param in self.named_parameters()}
-
     def load_state_dict(self, mapping):
         """Overwrite every parameter from ``mapping``; names and shapes must match."""
         params = dict(self.named_parameters())

@@ -71,6 +71,11 @@ def canonical_digest(payload):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def parameter_copies(module):
+    """Named copies of every parameter array of ``module``, as a checkpoint names them."""
+    return {name: param.values.copy() for name, param in module.named_parameters()}
+
+
 @pytest.fixture(autouse=True)
 def _no_partial_file_left(request):
     """Fail a test that leaves a temporary ``.partial.*`` file of the stage publisher

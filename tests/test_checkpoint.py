@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hashattack
-from conftest import canonical_digest
+from conftest import canonical_digest, parameter_copies
 from hashattack.checkpoint import (
     FORMAT_VERSION,
     Checkpoint,
@@ -25,6 +26,7 @@ from hashattack.checkpoint import (
     save_checkpoint,
     save_hash_model,
 )
+from hashattack.config import ExperimentConfig
 from hashattack.errors import (
     CheckpointCorruptError,
     CheckpointError,
@@ -401,6 +403,51 @@ def test_persisted_format_is_pinned(tmp_path):
     assert again.read_bytes() == first.read_bytes()
 
 
+_SAVES = {
+    "hash_model": lambda path: save_hash_model(
+        path, HashModel.create(np.random.default_rng(3), 10, 6, hidden_widths=(12,)), 42, "cfg",
+        {"final_loss": 0.1 + 0.2}),
+    "attack_stack": lambda path: save_attack_stack(path, _demo_stack(), 9, "cfg", {}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SAVES))
+def test_saved_text_is_the_sorted_one_space_dump(tmp_path, kind):
+    """The layout the pinned artifact digests hold: key-sorted JSON, indented by one
+    space, with no trailing newline."""
+    target = tmp_path / f"{kind}.json"
+    _SAVES[kind](target)
+    text = target.read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=1)
+    assert not text.endswith("\n")
+
+
+def test_saving_a_stock_stack_allocates_less_than_twice_its_file(tmp_path):
+    """A save streams its text to the file: it holds the tensor hex once, never a
+    copy of every weight, one joined text or the encoded bytes of that text."""
+    config = ExperimentConfig()
+    rng = np.random.default_rng(5)
+    pixels = config.image_height * config.image_width * config.image_channels
+    stack = AttackStack(
+        PrototypeNet.create(rng, config.classes, config.code_length,
+                            hidden_widths=config.prototype_hidden_widths,
+                            representation_width=config.representation_width),
+        Generator.create(rng, config.representation_width, pixels,
+                         decoder_hidden=config.decoder_hidden,
+                         bottleneck=config.generator_bottleneck),
+        Discriminator.create(rng, pixels, config.classes,
+                             hidden=config.discriminator_hidden_widths),
+    )
+    target = tmp_path / "attack_stack.json"
+    tracemalloc.start()
+    try:
+        save_attack_stack(target, stack, 1, "cfg", {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * target.stat().st_size, (peak, target.stat().st_size)
+
+
 # Fuzzed architecture meta.  A load refuses an architecture that outgrows
 # the stored tensors before it allocates anything, but tier-1 runs without
 # a memory cap, so integers and floats stay in [-2, 16]: a regression in
@@ -440,7 +487,7 @@ def _load_fuzzed(save, load, mutations):
             network, checkpoint = load(target)
         except CheckpointError:
             return
-    loaded = network.state_dict()
+    loaded = parameter_copies(network)
     assert loaded.keys() == checkpoint.tensors.keys()
     assert all(np.array_equal(loaded[name], checkpoint.tensors[name]) for name in loaded)
 

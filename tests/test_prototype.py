@@ -7,7 +7,7 @@ from hashattack.hashing import binarize
 from hashattack.layers import MLP, DenseLayer, watch_parameters
 from hashattack.prototype import PrototypeNet, loss_prototype
 
-from conftest import assert_grad_close, finite_difference
+from conftest import assert_grad_close, finite_difference, parameter_copies
 
 
 def _zero_net(classes=3, code_length=4, width=5):
@@ -221,7 +221,7 @@ def test_loss_gradients_match_finite_differences(rng):
 
 def test_export_import_round_trip(rng):
     net = PrototypeNet.create(rng, 4, 6, hidden_widths=(64, 32), representation_width=32)
-    blob = net.state_dict()
+    blob = parameter_copies(net)
     other = PrototypeNet.create(np.random.default_rng(123), 4, 6, hidden_widths=(64, 32),
                                 representation_width=32)
     other.load_state_dict(blob)
